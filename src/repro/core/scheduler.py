@@ -25,7 +25,8 @@ The request lifecycle::
                  ``max_wait`` for stragglers), and issues ONE
                  ``generate_batch`` call on a pooled model clone
                           │
-                 completions → stats + LRU + store write-through → futures
+                 completions → stats + LRU + store write-through (one
+                 ``put_many`` per batch) → futures
 
 There is deliberately **no background thread**: callers that wait on futures
 drain the queue themselves (leader election via the scheduler lock).  A
@@ -69,7 +70,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.exceptions import ConfigurationError, SchedulerSaturatedError
+from repro.exceptions import ConfigurationError, SchedulerSaturatedError, StoreError
 from repro.llm.base import GenerationParams, LanguageModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -552,10 +553,19 @@ class RequestScheduler:
         completions: Sequence[str] | None = None,
         error: BaseException | None = None,
     ) -> None:
-        """Account, cache and resolve (or fail) a generated batch."""
+        """Account, cache, persist and resolve (or fail) a generated batch.
+
+        The batch's fresh completions reach the store in ONE ``put_many``
+        call (one commit per model batch), outside the scheduler lock and
+        before any future resolves.  A store write that raises fails every
+        future of the batch with :class:`~repro.exceptions.StoreError` and
+        evicts the batch from the LRU, so a retry re-runs the whole path;
+        the drain loop, and every later request, carry on.
+        """
         submitters: set[int] = set()
         coalesced = False
-        writes: list[tuple[_Request, str]] = []
+        store = self.store
+        writes: list[tuple[str, GenerationParams, str]] = []
         with self._lock:
             for request in batch:
                 submitters |= request.submitters
@@ -567,8 +577,8 @@ class RequestScheduler:
                     self.stats.record(request.prompt, request.params.resample_index)
                     if self.cache_size > 0:
                         self._cache_put(request.key, response)
-                        if self.store is not None:
-                            writes.append((request, response))
+                        if store is not None:
+                            writes.append((request.prompt, request.params, response))
                 self.stats.n_batches += 1
                 self.scheduler_stats.record_batch(
                     len(batch), len(submitters), coalesced
@@ -583,9 +593,19 @@ class RequestScheduler:
         # idempotent.  Writes land before the futures resolve, keeping the
         # ordering guarantee that a caller observing a completion can count
         # on it being durable.
-        if self.store is not None:
-            for request, response in writes:
-                self.store.put(request.prompt, request.params, response)
+        if store is not None and writes:
+            try:
+                store.put_many(writes)
+            except StoreError as exc:
+                error = exc
+            except Exception as exc:
+                # Any backend failure reaches the waiters typed.
+                error = StoreError(f"response store write-through failed: {exc!r}")
+                error.__cause__ = exc
+            if error is not None:
+                with self._lock:
+                    for prompt, params, _ in writes:
+                        self._cache.pop((prompt, params), None)
         # Futures settle outside the lock: waiters wake straight into
         # result()/submit() without contending on the scheduler lock.
         for index, request in enumerate(batch):

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 from repro.core.table import is_numeric_like
 from repro.exceptions import ConfigurationError, SerializationError
-from repro.llm.tokenizer import SimpleTokenizer
+from repro.llm.tokenizer import DEFAULT_TOKENIZER, SimpleTokenizer
 
 
 class PromptStyle(str, Enum):
@@ -100,6 +101,27 @@ def join_classnames(labels: Sequence[str]) -> str:
     return ", ".join(labels)
 
 
+@lru_cache(maxsize=128)
+def _ordered_labels(
+    labels: tuple[str, ...], sort: bool
+) -> tuple[tuple[str, ...], str]:
+    """The label order a prompt lists and its ``<CLASSNAMES>`` text."""
+    ordered = tuple(sorted(labels)) if sort else labels
+    return ordered, join_classnames(ordered)
+
+
+@lru_cache(maxsize=128)
+def _skeleton_tokens(tokenizer: SimpleTokenizer, skeleton: str) -> int:
+    """Token count of a prompt rendered with an empty context.
+
+    The skeleton is constant for a label set, so each (tokenizer, skeleton)
+    pair is counted once per process.  Keyed on the tokenizer rather than
+    the serializer: serializers built with the default tokenizer share it,
+    so annotators built per request reuse these counts.
+    """
+    return tokenizer.count(skeleton)
+
+
 def detect_numeric_context(values: Sequence[str]) -> bool:
     """True when every non-empty sampled value is numeric-like.
 
@@ -150,9 +172,9 @@ class PromptSerializer:
         if context_window <= 0:
             raise ConfigurationError("context_window must be positive")
         self.context_window = context_window
-        self.numeric_labels = list(numeric_labels) if numeric_labels else None
+        self.numeric_labels = frozenset(numeric_labels) if numeric_labels else None
         self.sort_labels = sort_labels
-        self.tokenizer = tokenizer or SimpleTokenizer()
+        self.tokenizer = tokenizer or DEFAULT_TOKENIZER
 
     def _template(self) -> str:
         if self.style is PromptStyle.FINETUNED:
@@ -163,16 +185,23 @@ class PromptSerializer:
         self, label_set: Sequence[str], context_values: Sequence[str]
     ) -> tuple[list[str], bool]:
         """Apply the numeric-label restriction when the context is numeric."""
-        labels = list(label_set)
+        labels, _, restricted = self._label_text(label_set, context_values)
+        return list(labels), restricted
+
+    def _label_text(
+        self, label_set: Sequence[str], context_values: Sequence[str]
+    ) -> tuple[tuple[str, ...], str, bool]:
+        """The effective labels in prompt order, their classnames text, and
+        whether the numeric restriction applied."""
+        labels = tuple(label_set)
         restricted = False
         if self.numeric_labels and detect_numeric_context(context_values):
-            numeric = [l for l in labels if l in set(self.numeric_labels)]
+            numeric = tuple(label for label in labels if label in self.numeric_labels)
             if numeric:
                 labels = numeric
                 restricted = True
-        if self.sort_labels:
-            labels = sorted(labels)
-        return labels, restricted
+        ordered, classnames = _ordered_labels(labels, self.sort_labels)
+        return ordered, classnames, restricted
 
     def serialize(
         self,
@@ -186,16 +215,17 @@ class PromptSerializer:
         tokenizer is non-additive across the skeleton/context join.  Raises
         :class:`SerializationError` if no prompt can satisfy that — the label
         set alone is too large, or the tokenizer's counts are inconsistent.
+
+        A column costs two tokenizer counts, the context and the rendered
+        prompt, plus one truncation when the context overflows; the skeleton
+        count is memoized per label set.
         """
-        labels, restricted = self.effective_label_set(label_set, context_values)
+        labels, classnames, restricted = self._label_text(label_set, context_values)
         template = self._template()
-        classnames = join_classnames(labels)
         context = join_context(context_values)
-        if self.style is PromptStyle.FINETUNED:
-            skeleton = template.format(context="")
-        else:
-            skeleton = template.format(context="", classnames=classnames)
-        skeleton_tokens = self.tokenizer.count(skeleton)
+        skeleton_tokens = _skeleton_tokens(
+            self.tokenizer, self._render(template, "", classnames)
+        )
         if skeleton_tokens >= self.context_window:
             raise SerializationError(
                 "label set and instruction alone exceed the context window "
@@ -207,6 +237,7 @@ class PromptSerializer:
             context = self.tokenizer.truncate(context, budget)
             truncated = True
         text = self._render(template, context, classnames)
+        tokens = self.tokenizer.count(text)
         # Hard post-render check: the budget above assumes token counts are
         # additive (count(skeleton + context) == count(skeleton) +
         # count(context)), which a real BPE tokenizer does not guarantee —
@@ -215,8 +246,8 @@ class PromptSerializer:
         # observed overshoot until the final prompt fits; the loop terminates
         # because the budget shrinks by at least one token per pass and an
         # empty context renders the skeleton, which the precheck bounded.
-        while context and self.tokenizer.count(text) > self.context_window:
-            overshoot = self.tokenizer.count(text) - self.context_window
+        while context and tokens > self.context_window:
+            overshoot = tokens - self.context_window
             budget = max(0, budget - max(overshoot, 1))
             shorter = self.tokenizer.truncate(context, budget)
             # A tokenizer whose truncate refuses to shrink further would spin
@@ -224,21 +255,21 @@ class PromptSerializer:
             context = "" if (shorter == context and budget == 0) else shorter
             truncated = True
             text = self._render(template, context, classnames)
-        final_tokens = self.tokenizer.count(text)
-        if final_tokens > self.context_window:
+            tokens = self.tokenizer.count(text)
+        if tokens > self.context_window:
             raise SerializationError(
                 "prompt still exceeds the context window after truncation "
-                f"({final_tokens} > {self.context_window} tokens); the "
+                f"({tokens} > {self.context_window} tokens); the "
                 "tokenizer's skeleton count is inconsistent with its "
                 "rendered-prompt count"
             )
         return SerializedPrompt(
             text=text,
             style=self.style,
-            label_set=tuple(labels),
+            label_set=labels,
             context_values=tuple(context_values),
             truncated=truncated,
-            token_count=final_tokens,
+            token_count=tokens,
             numeric_restricted=restricted,
         )
 

@@ -13,7 +13,9 @@ under the LRU:
   recovers from corrupted or truncated entries).  Entries are immutable once
   written — a second ``put`` for an existing key is a no-op — because every
   bundled backend is a pure function of ``(prompt, params)``, so the first
-  recorded answer is *the* answer.
+  recorded answer is *the* answer.  ``put_many`` writes a whole model batch;
+  the SQLite backend commits it as one transaction (group commit: one
+  ``fsync`` per batch, at full durability, instead of one per prompt).
 
 * :class:`RunManifest` — an append-only JSONL journal of per-column
   predictions for one experiment run, keyed by global column index.  The
@@ -42,7 +44,7 @@ from abc import ABC, abstractmethod
 from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.plan import AnnotationResult
 from repro.exceptions import ConfigurationError, StoreError
@@ -81,6 +83,18 @@ class ResponseStore(ABC):
     @abstractmethod
     def put(self, prompt: str, params: GenerationParams, response: str) -> None:
         """Persist a response.  A key already present is left untouched."""
+
+    def put_many(
+        self, entries: Sequence[tuple[str, GenerationParams, str]]
+    ) -> None:
+        """Persist ``(prompt, params, response)`` entries, as :meth:`put` does.
+
+        The scheduler writes each drained model batch through this one call.
+        Backends override it to make the batch durable at once; this default
+        writes entry by entry.
+        """
+        for prompt, params, response in entries:
+            self.put(prompt, params, response)
 
     @abstractmethod
     def __len__(self) -> int:
@@ -130,6 +144,11 @@ class SQLiteResponseStore(ResponseStore):
     #: file, so contention is expected and transient rather than fatal.
     BUSY_TIMEOUT_S = 30.0
 
+    _INSERT = (
+        "INSERT OR IGNORE INTO responses"
+        " (prompt, params, response, created_at) VALUES (?, ?, ?, ?)"
+    )
+
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
@@ -150,6 +169,10 @@ class SQLiteResponseStore(ResponseStore):
             # slower under cross-process contention, not wrong.
             with suppress(sqlite3.DatabaseError):
                 self._conn.execute("PRAGMA journal_mode = WAL")
+            # Every commit is durable (fsync'd) whatever the build's WAL
+            # default; batching writes (put_many), not a weaker pragma, is
+            # what keeps that affordable.
+            self._conn.execute("PRAGMA synchronous = FULL")
             self._conn.execute(
                 "CREATE TABLE IF NOT EXISTS responses ("
                 "  prompt TEXT NOT NULL,"
@@ -175,16 +198,38 @@ class SQLiteResponseStore(ResponseStore):
         return row[0] if row is not None else None
 
     def put(self, prompt: str, params: GenerationParams, response: str) -> None:
+        self.put_many([(prompt, params, response)])
+
+    def put_many(
+        self, entries: Sequence[tuple[str, GenerationParams, str]]
+    ) -> None:
+        """Write every entry in ONE transaction: a single commit, so a single
+        ``fsync`` under ``synchronous = FULL``, however many entries the
+        batch holds.  The batch lands whole or not at all."""
+        if not entries:
+            return
+        # Allowlisted wall-clock read: created_at is provenance metadata for
+        # humans inspecting the store; nothing in the pipeline ever reads it
+        # back, so it cannot break replay.
+        created_at = time.time()  # repro-lint: disable=det-wallclock
+        rows = [
+            (prompt, params_key(params), response, created_at)
+            for prompt, params, response in entries
+        ]
         with self._lock:
             try:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO responses"
-                    " (prompt, params, response, created_at) VALUES (?, ?, ?, ?)",
-                    # Allowlisted wall-clock read: created_at is provenance
-                    # metadata for humans inspecting the store; nothing in the
-                    # pipeline ever reads it back, so it cannot break replay.
-                    (prompt, params_key(params), response, time.time()),  # repro-lint: disable=det-wallclock
-                )
+                # IMMEDIATE takes the write lock up front, so contention with
+                # another process waits out the busy timeout instead of
+                # failing a deferred transaction's lock upgrade.
+                self._conn.execute("BEGIN IMMEDIATE")
+                try:
+                    self._conn.executemany(self._INSERT, rows)
+                    self._conn.execute("COMMIT")
+                except BaseException:
+                    if self._conn.in_transaction:
+                        with suppress(sqlite3.DatabaseError):
+                            self._conn.execute("ROLLBACK")
+                    raise
             except sqlite3.DatabaseError as exc:
                 raise StoreError(f"response store write failed: {exc}") from exc
 

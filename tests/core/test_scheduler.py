@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.querying import QueryEngine
 from repro.core.scheduler import RequestScheduler
-from repro.exceptions import ConfigurationError, SchedulerSaturatedError
+from repro.exceptions import ConfigurationError, SchedulerSaturatedError, StoreError
 from repro.llm.base import GenerationParams, LanguageModel
 
 
@@ -357,17 +357,20 @@ class TestRequeryScheduling:
 class LockProbeStore:
     """Store double that records whether the scheduler lock was held.
 
-    Pins the ``lock-io-held`` fix: write-through ``put`` calls must happen
-    *outside* the scheduler lock (disk latency must never extend a lock
-    hold), while the admission-time ``get`` is the one deliberate,
-    allowlisted exception.
+    Pins the ``lock-io-held`` fix: write-through ``put_many`` calls must
+    happen *outside* the scheduler lock (disk latency must never extend a
+    lock hold), while the admission-time ``get`` is the one deliberate,
+    allowlisted exception.  It also counts calls, so tests can pin one
+    ``put_many`` per drained batch and no per-prompt ``put``.
     """
 
     def __init__(self) -> None:
         self.lock: threading.Lock | None = None  # wired after construction
         self.held_during_get: list[bool] = []
         self.held_during_put: list[bool] = []
+        self.held_during_put_many: list[bool] = []
         self.puts: list[tuple[str, str]] = []
+        self.batches: list[list[str]] = []
 
     def get(self, prompt, params):
         assert self.lock is not None
@@ -378,6 +381,106 @@ class LockProbeStore:
         assert self.lock is not None
         self.held_during_put.append(self.lock.locked())
         self.puts.append((prompt, response))
+
+    def put_many(self, entries):
+        assert self.lock is not None
+        self.held_during_put_many.append(self.lock.locked())
+        self.batches.append([prompt for prompt, _, _ in entries])
+        self.puts.extend((prompt, response) for prompt, _, response in entries)
+
+
+class FlakyStore:
+    """Store double whose next ``put_many`` raises ``failure``.
+
+    Writes per prompt (``put``) are refused outright: the scheduler must
+    write a drained batch through ``put_many``.
+    """
+
+    def __init__(self, failure: BaseException | None) -> None:
+        self.failure = failure
+        self.entries: dict[tuple[str, GenerationParams], str] = {}
+
+    def get(self, prompt, params):
+        return self.entries.get((prompt, params))
+
+    def put(self, prompt, params, response):
+        raise AssertionError("the scheduler wrote a single prompt")
+
+    def put_many(self, entries):
+        if self.failure is not None:
+            failure, self.failure = self.failure, None
+            raise failure
+        for prompt, params, response in entries:
+            self.entries.setdefault((prompt, params), response)
+
+
+class TestStoreWriteThrough:
+    """One ``put_many`` per drained batch, and a declared outcome when the
+    store write fails."""
+
+    def test_one_put_many_per_drained_batch_with_writes(self):
+        store = LockProbeStore()
+        scheduler = RequestScheduler(ExplodingModel(), store=store, max_batch_size=2)
+        store.lock = scheduler._lock
+        futures = [scheduler.submit(f"p{i}") for i in range(5)]
+        scheduler.wait(futures)
+        assert store.batches == [["p0", "p1"], ["p2", "p3"], ["p4"]]
+        # A failed model batch has nothing to write.
+        with pytest.raises(ValueError):
+            scheduler.wait([scheduler.submit("boom")])
+        # Cache hits drain nothing, so they write nothing either.
+        scheduler.wait([scheduler.submit("p0"), scheduler.submit("p4")])
+        assert store.batches == [["p0", "p1"], ["p2", "p3"], ["p4"]]
+        assert store.held_during_put == []
+
+    def test_store_failure_fails_every_waiter_and_keeps_the_drainer_alive(self):
+        model = GatedModel()
+        store = FlakyStore(OSError("disk full"))
+        scheduler = RequestScheduler(model, store=store)
+        scheduler.start_drainers(1)
+        try:
+            (drainer,) = scheduler._drainers
+            leader = scheduler.submit("p")
+            assert model.started.wait(timeout=5.0)
+            outcomes: list[BaseException | None] = []
+
+            def coalesced_waiter() -> None:
+                future = scheduler.submit("p")
+                outcomes.append(future.exception(timeout=5.0))
+
+            follower = threading.Thread(target=coalesced_waiter)
+            follower.start()
+            _wait_until(lambda: scheduler.scheduler_stats.n_coalesced == 1)
+            model.release.set()
+
+            error = leader.exception(timeout=5.0)
+            follower.join(timeout=5.0)
+            assert not follower.is_alive()
+            assert isinstance(error, StoreError)
+            assert isinstance(error.__cause__, OSError)
+            assert outcomes == [error]
+
+            # The drainer survived the failed write and serves fresh work.
+            assert drainer.is_alive()
+            assert scheduler.submit("fresh").result(timeout=5.0) == "ans:fresh:0"
+            assert scheduler.queue_len == 0
+            # The failed batch left the LRU, so a retry reaches the model
+            # again and, this time, the store.
+            assert scheduler.submit("p").result(timeout=5.0) == "ans:p:0"
+            assert model.calls == ["p", "fresh", "p"]
+            assert set(store.entries.values()) == {"ans:fresh:0", "ans:p:0"}
+        finally:
+            scheduler.stop_drainers()
+
+    def test_store_error_reaches_every_future_of_a_caller_drained_batch(self):
+        failure = StoreError("database is locked")
+        scheduler = RequestScheduler(CountingModel(), store=FlakyStore(failure))
+        futures = [scheduler.submit("a"), scheduler.submit("b")]
+        with pytest.raises(StoreError) as raised:
+            scheduler.wait(futures)
+        assert raised.value is failure
+        assert all(future.exception() is failure for future in futures)
+        assert scheduler.wait([scheduler.submit("c")]) == ["ans:c:0"]
 
 
 class TestLockDisciplineRegressions:
@@ -394,10 +497,11 @@ class TestLockDisciplineRegressions:
             "ans:b:0",
             "ans:c:0",
         ]
-        # Write-through landed for every settled request...
+        # Write-through landed for every settled request, as one batch...
         assert sorted(p for p, _ in store.puts) == ["a", "b", "c"]
+        assert store.held_during_put == []
         # ...and never while the scheduler lock was held.
-        assert store.held_during_put == [False, False, False]
+        assert store.held_during_put_many == [False]
         # The admission-time read IS under the lock (explained allowlist
         # entry in scheduler.py): pin that too, so a future refactor that
         # moves it cannot silently invalidate the suppression comment.

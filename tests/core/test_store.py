@@ -18,7 +18,7 @@ from repro.core.store import (
     open_store,
     params_key,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StoreError
 from repro.llm.base import GenerationParams
 
 STORE_KINDS = ["sqlite", "jsonl"]
@@ -130,6 +130,46 @@ class TestResponseStoreContract:
             store.put(prompt, GenerationParams(), "naïve\nanswer")
         with _open(kind, tmp_path) as store:
             assert store.get(prompt, GenerationParams()) == "naïve\nanswer"
+
+    def test_put_many_matches_put(self, kind, tmp_path):
+        with _open(kind, tmp_path) as store:
+            store.put("p", GenerationParams(), "first")
+            store.put_many([
+                ("p", GenerationParams(), "second"),
+                ("q", GenerationParams(), "cold"),
+                ("q", GenerationParams(resample_index=1), "resampled"),
+            ])
+            store.put_many([])
+            assert store.get("p", GenerationParams()) == "first"
+            assert store.get("q", GenerationParams()) == "cold"
+            assert store.get("q", GenerationParams(resample_index=1)) == "resampled"
+        with _open(kind, tmp_path) as store:
+            assert len(store) == 3
+
+
+class TestSQLiteGroupCommit:
+    def test_one_commit_per_batch_at_full_durability(self, tmp_path):
+        with SQLiteResponseStore(tmp_path / "store.sqlite") as store:
+            statements: list[str] = []
+            store._conn.set_trace_callback(statements.append)
+            store.put_many([(f"p{i}", GenerationParams(), "r") for i in range(5)])
+            assert [
+                s for s in statements if s.startswith(("BEGIN", "COMMIT"))
+            ] == ["BEGIN IMMEDIATE", "COMMIT"]
+            assert len(store) == 5
+            # FULL: the one commit is fsync'd.
+            assert store._conn.execute("PRAGMA synchronous").fetchone() == (2,)
+
+    def test_failed_batch_lands_nothing_and_store_stays_writable(self, tmp_path):
+        with SQLiteResponseStore(tmp_path / "store.sqlite") as store:
+            with pytest.raises(StoreError, match="write failed"):
+                store.put_many([
+                    ("ok", GenerationParams(), "r"),
+                    ("bad", GenerationParams(), object()),  # unbindable
+                ])
+            assert store.get("ok", GenerationParams()) is None
+            store.put_many([("ok", GenerationParams(), "r")])
+            assert store.get("ok", GenerationParams()) == "r"
 
 
 class TestJSONLCorruptionRecovery:

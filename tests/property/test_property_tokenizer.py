@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,22 @@ cell_value = st.text(
     max_size=25,
 ).filter(lambda s: s.strip("-_/") != "")
 label_value = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=2, max_size=15)
+#: Characters at the edges of the token classes: non-ASCII decimal digits
+#: (``\d`` matches them), digits that are not decimal (``²``), accented
+#: letters (not ``[A-Za-z]``) and whitespace beyond the ASCII space.
+edge_chars = "٣۷²½éÉñßЖ数\u00a0\u2003\u3000\t\n\r\x0b\x0c\x1c\x85"
+unicode_text = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from(edge_chars + "aZ09 .,")
+    ),
+    max_size=200,
+)
+
+
+def reference_count(text: str) -> int:
+    """``count`` as it was defined before the single-pass counter."""
+    tokens = SimpleTokenizer().tokenize(text)
+    return len(tokens) + sum(1 for ch in text if ord(ch) > 127)
 
 
 class TestTokenizerInvariants:
@@ -43,6 +60,31 @@ class TestTokenizerInvariants:
         tokenizer = SimpleTokenizer()
         truncated = tokenizer.truncate(text, budget)
         assert tokenizer.count(truncated) <= budget
+
+
+class TestCountMatchesTokenize:
+    """``count`` counts without building the token list; ``tokenize`` stays
+    the reference it must agree with."""
+
+    @given(unicode_text)
+    @settings(max_examples=400)
+    def test_count_is_tokens_plus_non_ascii_surcharge(self, text):
+        assert SimpleTokenizer().count(text) == reference_count(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "٣٣٣٣ ٣",
+            "x² + y²",
+            "café naïve résumé",
+            "a\u00a0b\u2003c\u3000d\x1ce",
+            "abcdefghi 1234567 Ab12cd345ef",
+            "lone \ud800 surrogate",
+            "",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert SimpleTokenizer().count(text) == reference_count(text)
 
 
 class TestSerializationRoundTrip:
