@@ -15,8 +15,8 @@ from pathlib import Path
 
 #: Benchmark records registered by the session, keyed by benchmark name.
 #: ``conftest.pytest_sessionfinish`` serializes these into the
-#: machine-readable ``BENCH_RESULTS.json`` artifact (CI uploads it from the
-#: throughput job, so perf trajectories are diffable across commits).
+#: machine-readable ``BENCH_<shortsha>.json`` artifact (CI uploads it from the
+#: bench-regression job, so perf trajectories are diffable across commits).
 _BENCH_RESULTS: dict[str, dict] = {}
 
 

@@ -4,9 +4,6 @@ The acceptance bar for the persistence layer (ISSUE 3): rerunning the same
 evaluation against a warmed store must issue ~0 model queries — the workload
 degrades to planning plus disk reads, which is exactly the cost profile that
 makes replaying SOTAB-scale experiments (or resuming crashed ones) cheap.
-
-Both backends are exercised so the SQLite default and the JSONL fallback stay
-interchangeable in cost shape, not just in results.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from __future__ import annotations
 import os
 from time import perf_counter
 
-import pytest
 from _harness import record_bench_result, run_once
 
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
@@ -34,22 +30,19 @@ def _make_annotator(label_set) -> ArcheType:
     )
 
 
-@pytest.mark.parametrize("store_kind", ["sqlite", "jsonl"])
-def test_warm_store_rerun_issues_zero_queries(
-    benchmark, bench_columns, tmp_path, store_kind
-):
+def test_warm_store_rerun_issues_zero_queries(benchmark, bench_columns, tmp_path):
     data = load_benchmark("sotab-27", n_columns=bench_columns, seed=11)
-    cache_dir = tmp_path / store_kind
+    cache_dir = tmp_path / "cache"
 
     def cold_then_warm() -> dict[str, float]:
-        runner = ExperimentRunner(cache_dir=cache_dir, store=store_kind)
+        runner = ExperimentRunner(cache_dir=cache_dir)
 
         start = perf_counter()
         cold = runner.evaluate(_make_annotator(data.label_set), data, "archetype")
         cold_seconds = perf_counter() - start
 
         start = perf_counter()
-        warm = ExperimentRunner(cache_dir=cache_dir, store=store_kind).evaluate(
+        warm = ExperimentRunner(cache_dir=cache_dir).evaluate(
             _make_annotator(data.label_set), data, "archetype"
         )
         warm_seconds = perf_counter() - start
@@ -66,7 +59,7 @@ def test_warm_store_rerun_issues_zero_queries(
 
     info = run_once(benchmark, cold_then_warm)
     benchmark.extra_info.update(info)
-    record_bench_result(f"warm_store_{store_kind}", **info)
+    record_bench_result("warm_store_sqlite", **info)
 
     # The acceptance assertions are deterministic: a warm rerun re-pays zero
     # model calls, serving every executed prompt from disk.

@@ -13,7 +13,6 @@ are left in place so CI can upload them as artifacts.
 Usage::
 
     python scripts/warm_store_check.py [--cache-dir DIR] [--columns N]
-                                       [--store {sqlite,jsonl}]
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cache-dir", default="warm-store-cache")
     parser.add_argument("--columns", type=int, default=60)
-    parser.add_argument("--store", default="sqlite", choices=["sqlite", "jsonl"])
     parser.add_argument("--benchmark", default="sotab-27")
     parser.add_argument("--model", default="t5")
     args = parser.parse_args(argv)
@@ -48,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
         annotator = get_zero_shot_method(
             "archetype", benchmark, model=args.model, seed=0
         )
-        runner = ExperimentRunner(cache_dir=args.cache_dir, store=args.store)
+        runner = ExperimentRunner(cache_dir=args.cache_dir)
         return runner.evaluate(annotator, benchmark, f"archetype-{args.model}")
 
     cold = run()
@@ -72,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         failures.append("warm predictions diverged from the cold run")
     if not failures:
         print(f"\nOK: warm rerun served {warm.n_store_hits} prompts from the "
-              f"{args.store} store with 0 model queries "
+              "store with 0 model queries "
               f"(cold run issued {cold.n_queries}).")
         return 0
     for failure in failures:

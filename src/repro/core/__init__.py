@@ -15,10 +15,10 @@ Submodules map one-to-one onto the stages in Figure 1 of the paper:
 * :mod:`repro.core.rules` — rule-based label remapping (the "+" variants).
 * :mod:`repro.core.plan` — the logical half of annotation: per-column
   ``ColumnPlan`` building plus per-stage instrumentation.
-* :mod:`repro.core.executor` — the physical half: sequential, batched and
-  concurrent plan executors.
-* :mod:`repro.core.store` — the durability layer: persistent
-  ``(prompt, params) → response`` stores and per-run checkpoint manifests.
+* :mod:`repro.core.executor` — the physical half: sequential, batched,
+  concurrent and process plan executors.
+* :mod:`repro.core.store` — the durability layer: the persistent SQLite
+  ``(prompt, params) → response`` store and per-run checkpoint manifests.
 * :mod:`repro.core.pipeline` — the end-to-end ``ArcheType`` annotator.
 """
 
@@ -42,7 +42,6 @@ from repro.core.sampling import (
 from repro.core.serialization import PromptSerializer, PromptStyle
 from repro.core.remapping import get_remapper
 from repro.core.store import (
-    JSONLResponseStore,
     ResponseStore,
     RunManifest,
     SQLiteResponseStore,
@@ -62,7 +61,6 @@ __all__ = [
     "ConcurrentExecutor",
     "Executor",
     "FirstKSampler",
-    "JSONLResponseStore",
     "PipelineStats",
     "PromptSerializer",
     "PromptStyle",

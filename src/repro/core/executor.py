@@ -22,9 +22,10 @@ submits to the scheduler before awaiting any of them.
   ``ProcessPoolExecutor``: each worker *process* owns its own scheduler and
   model copy (the pickled engine profile), so the GIL-bound Python work of
   the execute stages — querying AND remapping — runs truly in parallel.
-  Workers share the parent's SQLite-WAL response store (hardened for
-  cross-process writers) and ship their per-stage and per-prompt counters
-  back for the parent to absorb, so accounting stays whole-run truthful.
+  Workers reopen the parent's SQLite-WAL response store (hardened for
+  cross-process writers), keep the parent engine's batch cap, and ship
+  their per-stage and per-prompt counters back for the parent to absorb,
+  so accounting stays whole-run truthful.
 
 All four produce identical labels for the pure bundled backends; they differ
 only in wall-clock and in how many times the model is consulted.  In the
@@ -53,6 +54,7 @@ from repro.core.plan import (
 )
 from repro.core.querying import QueryEngine
 from repro.core.remapping import Remapper
+from repro.core.store import SQLiteResponseStore
 from repro.exceptions import ConfigurationError
 
 
@@ -297,24 +299,23 @@ def _process_worker_init(spec_bytes: bytes) -> None:
     """Build this worker process's engine + remapper from the pickled spec.
 
     Runs once per worker via the pool's ``initializer`` hook.  The worker
-    opens its own connection to the shared SQLite store (WAL + busy timeout
-    make cross-process writers safe); a JSONL store is *not* reopened —
-    its append path is not hardened for concurrent writers from multiple
-    processes, so JSONL-backed workers run with the LRU tier only and the
-    parent keeps sole ownership of the file.
+    opens its own connection to the parent's SQLite store (WAL + busy
+    timeout make cross-process writers safe) and caps its model batches
+    exactly as the parent engine does.
     """
     global _WORKER_ENGINE, _WORKER_REMAPPER
     spec: dict[str, Any] = pickle.loads(spec_bytes)
     store = None
     if spec["store_path"] is not None:
-        from repro.core.store import SQLiteResponseStore
-
         store = SQLiteResponseStore(spec["store_path"])
     _WORKER_ENGINE = QueryEngine(
         model=spec["model"],
         params=spec["params"],
         cache_size=spec["cache_size"],
         store=store,
+        max_batch_size=spec["max_batch_size"],
+        max_batch_wait=spec["max_batch_wait"],
+        queue_depth=spec["queue_depth"],
     )
     _WORKER_REMAPPER = spec["remapper"]
 
@@ -351,13 +352,14 @@ class ProcessExecutor(Executor):
     of Python work (query bookkeeping, response remapping, resample retries)
     still serialises on the parent's GIL.  This policy escapes it: pending
     plans are split into contiguous chunks and shipped to a
-    ``ProcessPoolExecutor`` whose workers each own a full engine (scheduler,
-    LRU, model copy unpickled from the parent's) and their own connection to
-    the shared SQLite-WAL response store.  Each worker runs query + remap for
-    its chunk in plan order; the parent merges results by position, so labels
-    are bit-identical to :class:`SequentialExecutor` for the pure bundled
-    backends (planning — the only RNG consumer — already happened in the
-    parent).
+    ``ProcessPoolExecutor`` whose workers each own a full engine (scheduler
+    with the parent's ``max_batch_size`` / ``max_batch_wait`` /
+    ``queue_depth``, LRU, model copy unpickled from the parent's) and their
+    own connection to the shared SQLite-WAL response store.  Each worker
+    runs query + remap for its chunk in plan order; the parent merges
+    results by position, so labels are bit-identical to
+    :class:`SequentialExecutor` for the pure bundled backends (planning —
+    the only RNG consumer — already happened in the parent).
 
     Accounting stays whole-run truthful: workers ship back per-stage
     :class:`PipelineStats` snapshots (merged into the caller's stats; note
@@ -370,8 +372,10 @@ class ProcessExecutor(Executor):
     calls with the same engine profile (critical for ``annotate_stream``,
     which executes chunk after chunk) — call :meth:`close` or use the
     executor as a context manager to release it.  A model or remapper that
-    cannot be pickled across processes raises :class:`ConfigurationError`
-    up front rather than a cryptic pool crash.
+    cannot be pickled across processes, or an attached store that is not a
+    :class:`~repro.core.store.SQLiteResponseStore`, raises
+    :class:`ConfigurationError` up front rather than a cryptic pool crash or
+    workers that silently run without the warm tier.
 
     ``chunk_size`` bounds each task's plan count; by default the pending
     plans are split evenly across ``workers``.
@@ -398,18 +402,30 @@ class ProcessExecutor(Executor):
 
     # ------------------------------------------------------- pool lifecycle
     def _worker_spec(self, engine: QueryEngine, remapper: Remapper) -> bytes:
-        """Pickle the engine profile a worker needs to rebuild its own."""
+        """Pickle the engine profile a worker needs to rebuild its own.
+
+        Workers reopen the parent's SQLite store by path; any other attached
+        store cannot be shared across processes, so it is a configuration
+        error rather than a silently missing warm tier.
+        """
         store = engine.store
-        store_path = (
-            str(store.path)
-            if store is not None and store.kind == "sqlite"
-            else None
-        )
+        if store is not None and not isinstance(store, SQLiteResponseStore):
+            raise ConfigurationError(
+                "the process executor shares the response store with its "
+                "workers by reopening a SQLite file, but the engine carries "
+                f"a {type(store).__name__}. Attach a SQLiteResponseStore, "
+                "detach the store, or choose a thread-based executor "
+                "(sequential/batched/concurrent)."
+            )
+        scheduler = engine.scheduler
         spec = {
             "model": engine.model,
             "params": engine.params,
             "cache_size": engine.cache_size,
-            "store_path": store_path,
+            "store_path": str(store.path) if store is not None else None,
+            "max_batch_size": scheduler.max_batch_size,
+            "max_batch_wait": scheduler.max_wait,
+            "queue_depth": scheduler.queue_depth,
             "remapper": remapper,
         }
         try:

@@ -167,21 +167,6 @@ class QueryEngine:
         return self.scheduler.wait(futures)
 
     # ------------------------------------------------------------- fan-out
-    def spawn_worker(self) -> "QueryEngine":
-        """A worker engine for one thread of a concurrent fan-out.
-
-        The worker wraps :meth:`LanguageModel.clone_for_worker` and carries no
-        cache, no store and fresh stats: the *parent* engine owns
-        deduplication, caching, persistence and accounting, so worker-side
-        state would only double count (and concurrent store writes from
-        workers would race on the same keys for no benefit).
-        """
-        return QueryEngine(
-            model=self.model.clone_for_worker(),
-            params=self.params,
-            cache_size=0,
-        )
-
     def query_batch_fanout(
         self,
         prompts: Sequence[str],
@@ -193,7 +178,8 @@ class QueryEngine:
 
         Each thread submits a contiguous slice of the batch and then drains
         the shared admission queue (``chunk_size``-bounded batches, or an
-        even split over ``workers``), so several ``generate_batch`` calls run
+        even split over ``workers``, never above the scheduler's
+        ``max_batch_size``), so several ``generate_batch`` calls run
         in parallel on pooled :meth:`LanguageModel.clone_for_worker` clones
         while cache, store, dedup and stats stay centralized in the one
         scheduler.  Sound only for backends that are pure functions of

@@ -471,10 +471,11 @@ class RequestScheduler:
         draining batches (its own submissions and anyone else's) until its
         futures resolve; once the queue is empty it blocks on the remaining
         futures, which a concurrent leader's in-progress batch will resolve.
-        ``batch_limit`` overrides the scheduler's ``max_batch_size`` for
-        drains performed by this call (the fan-out façade uses it to keep
-        several leaders generating concurrently).  Raises the first failed
-        future's exception, exactly as the model call would have raised.
+        ``batch_limit`` further caps the drains performed by this call: the
+        smaller of it and the scheduler's ``max_batch_size`` applies (the
+        fan-out façade uses it to keep several leaders generating
+        concurrently).  Raises the first failed future's exception, exactly
+        as the model call would have raised.
         """
         for future in futures:
             while not future.done():
@@ -501,7 +502,9 @@ class RequestScheduler:
         cap — the knob that trades a bounded latency bump for fuller
         cross-request batches under concurrent open-loop traffic.
         """
-        limit = batch_limit if batch_limit is not None else self.max_batch_size
+        limit = self.max_batch_size
+        if batch_limit is not None and (limit is None or batch_limit < limit):
+            limit = batch_limit
         if not self._queue:
             return []
         if self.max_wait > 0 and (limit is None or len(self._queue) < limit):

@@ -6,16 +6,15 @@ process — replaying a SOTAB-scale experiment, or resuming one that crashed
 partway through, re-pays every model call.  This module adds the durable tier
 under the LRU:
 
-* :class:`ResponseStore` — a thread-safe, append-only, on-disk
-  ``(prompt, params) → response`` store.  Two backends share the interface:
-  :class:`SQLiteResponseStore` (the default; single-file, transactional) and
-  :class:`JSONLResponseStore` (a human-greppable append-only journal that
-  recovers from corrupted or truncated entries).  Entries are immutable once
-  written — a second ``put`` for an existing key is a no-op — because every
-  bundled backend is a pure function of ``(prompt, params)``, so the first
-  recorded answer is *the* answer.  ``put_many`` writes a whole model batch;
-  the SQLite backend commits it as one transaction (group commit: one
-  ``fsync`` per batch, at full durability, instead of one per prompt).
+* :class:`ResponseStore` — the interface of a thread-safe, append-only,
+  on-disk ``(prompt, params) → response`` store, implemented by
+  :class:`SQLiteResponseStore` (one file, one table, transactional, safe
+  for writers in several processes).  Entries are immutable once written —
+  a second ``put`` for an existing key is a no-op — because every bundled
+  backend is a pure function of ``(prompt, params)``, so the first recorded
+  answer is *the* answer.  ``put_many`` commits a whole model batch as one
+  transaction (group commit: one ``fsync`` per batch, at full durability,
+  instead of one per prompt).
 
 * :class:`RunManifest` — an append-only JSONL journal of per-column
   predictions for one experiment run, keyed by global column index.  The
@@ -44,18 +43,17 @@ from abc import ABC, abstractmethod
 from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.plan import AnnotationResult
 from repro.exceptions import ConfigurationError, StoreError
 from repro.llm.base import GenerationParams
 
 #: Store kinds accepted by :func:`open_store` (and the ``--store`` CLI knob).
-STORE_KINDS: tuple[str, ...] = ("sqlite", "jsonl", "none")
+STORE_KINDS: tuple[str, ...] = ("sqlite", "none")
 
 #: File names used inside a cache directory.
 SQLITE_STORE_FILENAME = "store.sqlite"
-JSONL_STORE_FILENAME = "store.jsonl"
 RUNS_DIRNAME = "runs"
 MANIFEST_FILENAME = "manifest.jsonl"
 
@@ -245,71 +243,6 @@ class SQLiteResponseStore(ResponseStore):
             self._conn.close()
 
 
-class JSONLResponseStore(ResponseStore):
-    """JSONL-backed response store (the dependency-free fallback).
-
-    One JSON object per line (``{"prompt", "params", "response"}``), appended
-    and flushed per write.  The whole file is loaded into a dict at open;
-    malformed lines — a line truncated by a crash mid-append, or foreign
-    garbage — are skipped and counted in :attr:`corrupt_entries_skipped`
-    rather than poisoning the open, so a store survives its writer dying at
-    any byte.  First write wins for duplicate keys, matching the SQLite
-    backend's ``INSERT OR IGNORE``.
-    """
-
-    kind = "jsonl"
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._entries: dict[tuple[str, str], str] = {}  # guarded-by: _lock
-        self.corrupt_entries_skipped = 0
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                        key = (record["prompt"], record["params"])
-                        response = record["response"]
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        self.corrupt_entries_skipped += 1
-                        continue
-                    if not isinstance(response, str):
-                        self.corrupt_entries_skipped += 1
-                        continue
-                    self._entries.setdefault(key, response)
-        self._handle = self.path.open("a", encoding="utf-8")  # guarded-by: _lock
-
-    def get(self, prompt: str, params: GenerationParams) -> str | None:
-        with self._lock:
-            return self._entries.get((prompt, params_key(params)))
-
-    def put(self, prompt: str, params: GenerationParams, response: str) -> None:
-        key = (prompt, params_key(params))
-        with self._lock:
-            if key in self._entries:
-                return
-            self._handle.write(
-                json.dumps(
-                    {"prompt": prompt, "params": key[1], "response": response},
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-            self._handle.flush()
-            self._entries[key] = response
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def close(self) -> None:
-        with self._lock:
-            self._handle.close()
-
-
 def open_store(kind: str, cache_dir: str | Path) -> ResponseStore | None:
     """Open (creating if needed) the response store inside ``cache_dir``.
 
@@ -325,9 +258,7 @@ def open_store(kind: str, cache_dir: str | Path) -> ResponseStore | None:
         return None
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    if key == "sqlite":
-        return SQLiteResponseStore(directory / SQLITE_STORE_FILENAME)
-    return JSONLResponseStore(directory / JSONL_STORE_FILENAME)
+    return SQLiteResponseStore(directory / SQLITE_STORE_FILENAME)
 
 
 def generate_run_id() -> str:
@@ -349,8 +280,9 @@ class RunManifest:
     seed, ...); every following line records one column's finished
     :class:`~repro.core.plan.AnnotationResult`, keyed by global column index.
     Records are flushed as they are written, so after a crash the manifest
-    holds every column whose chunk completed; a line truncated mid-write is
-    skipped on load (and counted), exactly like the JSONL response store.
+    holds every column whose chunk completed; a line truncated mid-write, or
+    any other malformed line, is skipped on load and counted in
+    :attr:`corrupt_entries_skipped` rather than failing the resume.
 
     Recorded results deliberately persist only the fields evaluation needs
     (label, raw response, remap/rule flags, strategy) — prompts and sampled
@@ -526,16 +458,3 @@ def list_runs(cache_dir: str | Path) -> list[str]:
         if entry.is_dir() and (Path(entry.path) / MANIFEST_FILENAME).exists()
     )
 
-
-def iter_manifest_rows(
-    cache_dir: str | Path, run_id: str
-) -> Iterator[tuple[int, AnnotationResult]]:
-    """Yield ``(column_index, result)`` pairs of a recorded run, in order."""
-    manifest = RunManifest.load(cache_dir, run_id)
-    try:
-        for index in manifest.completed_indices():
-            result = manifest.get(index)
-            assert result is not None
-            yield index, result
-    finally:
-        manifest.close()

@@ -238,9 +238,10 @@ class ExperimentRunner:
       store shared by every run plus one checkpoint manifest per run.  The
       store is attached to the annotator's engine for the duration of the
       evaluation (an engine that already carries a store keeps its own);
-    * ``store`` — store backend under ``cache_dir``: ``"sqlite"`` (default),
-      ``"jsonl"``, or ``"none"`` to checkpoint runs without persisting
-      responses (the right setting for stateful backends);
+    * ``store`` — store kind under ``cache_dir`` (one of
+      :data:`repro.core.store.STORE_KINDS`): ``"sqlite"`` (default), or
+      ``"none"`` to checkpoint runs without persisting responses (the right
+      setting for stateful backends);
     * ``checkpoint`` — whether streaming runs under ``cache_dir`` journal a
       per-run manifest.  The suite orchestrator disables this: its shards are
       resumed at shard granularity from the suite journal plus the shared

@@ -63,8 +63,9 @@ class ServiceConfig:
     #: Annotation worker threads bridging asyncio handlers onto the
     #: scheduler; each in-flight request occupies one while it runs.
     workers: int = 8
-    #: Store backend under ``cache_dir`` (one of ``repro.core.store.
-    #: STORE_KINDS``); ignored when ``cache_dir`` is unset.
+    #: Store kind under ``cache_dir``: ``"sqlite"`` (the shared warm tier)
+    #: or ``"none"`` (see ``repro.core.store.STORE_KINDS``); ignored when
+    #: ``cache_dir`` is unset.
     store: str = "sqlite"
     #: Directory for the shared persistent warm tier; ``None`` keeps the
     #: warm tier in-memory only (the scheduler LRU).

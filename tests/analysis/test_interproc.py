@@ -114,7 +114,6 @@ class TestCallGraph:
         graph = CallGraph(program)
         edges = {(e.src.name, e.dst.name) for e in graph.edges.values()}
         assert ("RequestScheduler._lock", "SQLiteResponseStore._lock") in edges
-        assert ("RequestScheduler._lock", "JSONLResponseStore._lock") in edges
 
 
 class TestRuleFindings:

@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.core.executor import (
+    EXECUTOR_NAMES,
     BatchedExecutor,
     ConcurrentExecutor,
     ProcessExecutor,
@@ -25,10 +26,13 @@ from repro.core.executor import (
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
 from repro.core.remapping import NULL_LABEL
 from repro.core.rules import SOTAB_27_RULES
+from repro.core.store import ResponseStore
 from repro.core.table import Column
 from repro.datasets.registry import load_benchmark
+from repro.eval.runner import ExperimentRunner
 from repro.exceptions import ConfigurationError
 from repro.llm.base import GenerationParams, LanguageModel
+from repro.llm.simulated import SimulatedLLM
 
 LABELS = ["state", "person", "url", "number", "text"]
 
@@ -312,6 +316,25 @@ class UnpicklableModel(LanguageModel):
         return self.session(prompt)
 
 
+class MemoryStore(ResponseStore):
+    """A ``ResponseStore`` that lives in one process's memory."""
+
+    kind = "memory"
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self.entries: dict[tuple[str, GenerationParams], str] = {}
+
+    def get(self, prompt, params):
+        return self.entries.get((prompt, params))
+
+    def put(self, prompt, params, response):
+        self.entries.setdefault((prompt, params), response)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
 class TestProcessExecutor:
     """ISSUE 7 tentpole: worker processes, bit-identical labels, truthful
     accounting."""
@@ -358,6 +381,18 @@ class TestProcessExecutor:
             assert labels == GOLDEN_SOTAB_GPT
             assert executor._pool is not None
 
+    def test_non_sqlite_store_is_a_clean_config_error(self, tmp_path):
+        """Workers can only share a SQLite store; any other store fails up
+        front instead of leaving the workers without a warm tier."""
+        annotator = _golden_annotator(_golden_benchmark())
+        store = MemoryStore(tmp_path / "memory")
+        annotator.attach_store(store)
+        workload = [Column(values=["Alaska", "Colorado", "Kentucky"])]
+        with pytest.raises(ConfigurationError, match="SQLite"):
+            annotator.annotate_columns(workload, executor="process", workers=2)
+        assert annotator.query_count == 0
+        assert len(store) == 0
+
     def test_unpicklable_model_is_a_clean_config_error(self):
         annotator = ArcheType(ArcheTypeConfig(
             model=UnpicklableModel(), label_set=LABELS, remapper="none",
@@ -390,3 +425,61 @@ class TestProcessExecutor:
             r.label
             for r in override.annotate_columns(workload, executor="sequential")
         ] == expected
+
+
+class CappedModel(SimulatedLLM):
+    """The simulated gpt backend, refusing any batch above ``CAP`` prompts.
+
+    Module-level so the process executor can pickle it into its workers.
+    """
+
+    CAP = 4
+
+    def generate_batch(self, prompts, params=None):
+        if len(prompts) > self.CAP:
+            raise RuntimeError(
+                f"batch of {len(prompts)} prompts exceeds the cap of {self.CAP}"
+            )
+        return super().generate_batch(prompts, params)
+
+
+def _workers(name: str) -> int | None:
+    return 2 if name in ("concurrent", "process") else None
+
+
+@pytest.mark.parametrize("name", EXECUTOR_NAMES)
+class TestEveryExecutor:
+    """Contracts every submission policy keeps, the process pool included."""
+
+    def test_max_batch_size_caps_every_model_batch(self, name):
+        benchmark = _golden_benchmark()
+        annotator = ArcheType(ArcheTypeConfig(
+            model=CappedModel("gpt"), label_set=benchmark.label_set,
+            sample_size=5, seed=0, max_batch_size=CappedModel.CAP,
+        ))
+        results = annotator.annotate_columns(
+            [bc.column for bc in benchmark.columns],
+            executor=name,
+            workers=_workers(name),
+        )
+        assert [r.label for r in results] == GOLDEN_SOTAB_GPT
+        stats = annotator.engine.stats
+        assert stats.n_queries <= CappedModel.CAP * stats.n_batches
+
+    def test_warm_rerun_issues_zero_model_queries(self, name, tmp_path):
+        benchmark = load_benchmark("sotab-27", n_columns=40, seed=5)
+
+        def run():
+            runner = ExperimentRunner(
+                cache_dir=tmp_path, executor=name, workers=_workers(name)
+            )
+            return runner.evaluate(
+                _golden_annotator(benchmark), benchmark, "archetype"
+            )
+
+        cold = run()
+        warm = run()
+        assert cold.n_queries > 0
+        assert warm.n_queries == 0
+        assert warm.n_store_hits > 0
+        assert warm.predictions == cold.predictions

@@ -108,14 +108,6 @@ class TestQueryBatchFanout:
         )
         assert responses == [f"echo:p{i}" for i in range(10)]
 
-    def test_spawn_worker_has_no_cache_and_fresh_stats(self):
-        engine = QueryEngine(model=get_model("gpt"), cache_size=64)
-        engine.query("warm the stats")
-        worker = engine.spawn_worker()
-        assert worker.cache_size == 0
-        assert worker.stats.n_queries == 0
-        assert worker.params is engine.params
-
 
 class TestResetStats:
     def test_reset_stats_zeroes_counters_keeps_cache(self):

@@ -24,7 +24,7 @@ class CountingModel(LanguageModel):
         return f"answer:{prompt}:{params.resample_index}"
 
 
-@pytest.fixture(params=["sqlite", "jsonl"])
+@pytest.fixture(params=["sqlite"])
 def store(request, tmp_path):
     store = open_store(request.param, tmp_path)
     yield store
@@ -100,8 +100,6 @@ class TestStoreTier:
         engine = QueryEngine(model=model, store=store)
         engine.query_batch_fanout(["a", "b", "c", "d"], workers=2)
         assert len(store) == 4
-        worker = engine.spawn_worker()
-        assert worker.store is None  # workers never touch the disk tier
 
     def test_resample_params_are_stored_separately(self, store):
         model = CountingModel()
