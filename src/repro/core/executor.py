@@ -28,12 +28,17 @@ submits to the scheduler before awaiting any of them.
   so accounting stays whole-run truthful.
 
 All four produce identical labels for the pure bundled backends; they differ
-only in wall-clock and in how many times the model is consulted.  In the
-thread-based policies stage 4 (label remapping, with optional resample
-requeries) always runs on the main thread, in plan order, through the main
-engine; in the process policy each worker remaps its own contiguous chunk in
-plan order with a deterministic engine copy, which preserves the same
-bit-identical labels.
+only in wall-clock and in how many times the model is consulted.  Stage 4
+(label remapping) runs through :func:`_remap_plans` over every plan of an
+executed chunk at once, so resample requeries go out in *waves*: one
+:meth:`QueryEngine.requery` model batch per attempt, holding every plan
+whose answer is still outside its label set (see
+:meth:`repro.core.remapping.Remapper.remap_many`).  The thread-based
+policies remap on the main thread through the main engine; in the process
+policy each worker remaps its own contiguous chunk with a deterministic
+engine copy.  Each plan sees the same retries either way, which preserves
+the same bit-identical labels; only the grouping of model calls changes.
+The sequential policy remaps one plan at a time, right after its query.
 """
 
 from __future__ import annotations
@@ -102,31 +107,50 @@ def execute_plan(
     assert prompt is not None  # ColumnPlan invariant
     with _attributed_hits(engine, stats, STAGE_QUERY), stats.timed(STAGE_QUERY):
         response = engine.query(prompt.text)
-    return _remap_response(plan, response, engine, remapper, stats)
+    return _remap_plans([plan], [response], engine, remapper, stats)[0]
 
 
-def _remap_response(
-    plan: ColumnPlan,
-    response: str,
+def _remap_plans(
+    plans: Sequence[ColumnPlan],
+    responses: Sequence[str],
     engine: QueryEngine,
     remapper: Remapper,
     stats: PipelineStats,
-) -> AnnotationResult:
-    """Run stage 4 (label remapping, with resample requeries) for one plan."""
-    prompt = plan.prompt
-    assert prompt is not None
-    with _attributed_hits(engine, stats, STAGE_REMAP), stats.timed(STAGE_REMAP):
-        requery = lambda attempt: engine.requery(prompt.text, attempt)
-        remap = remapper.remap(response, list(prompt.label_set), requery)
-    return AnnotationResult(
-        label=remap.label,
-        raw_response=response,
-        prompt=prompt,
-        remapped=remap.remapped,
-        rule_applied=False,
-        strategy=remapper.name,
-        sampled_values=plan.sampled_values,
-    )
+) -> list[AnnotationResult]:
+    """Run stage 4 (label remapping) over plans and their first responses.
+
+    Resample retries go out in waves: one :meth:`QueryEngine.requery` batch
+    per attempt, holding every plan still outside its label set.  The stage
+    counts one call per plan, and its hits are attributed to the remap stage.
+    """
+    prompts = [plan.prompt for plan in plans]
+    texts = [prompt.text for prompt in prompts]  # type: ignore[union-attr]
+
+    def requery_many(indices: Sequence[int], attempt: int) -> list[str]:
+        return engine.requery([texts[index] for index in indices], attempt)
+
+    with _attributed_hits(engine, stats, STAGE_REMAP), stats.timed(
+        STAGE_REMAP, calls=len(plans)
+    ):
+        remaps = remapper.remap_many(
+            responses,
+            [prompt.label_set for prompt in prompts],  # type: ignore[union-attr]
+            requery_many,
+        )
+    return [
+        AnnotationResult(
+            label=remap.label,
+            raw_response=response,
+            prompt=prompt,
+            remapped=remap.remapped,
+            rule_applied=False,
+            strategy=remapper.name,
+            sampled_values=plan.sampled_values,
+        )
+        for plan, prompt, response, remap in zip(
+            plans, prompts, responses, remaps, strict=True
+        )
+    ]
 
 
 def _assemble(
@@ -164,7 +188,8 @@ class SequentialExecutor(Executor):
 
     Bit-identical to the historical column-at-a-time loop, and the only
     policy that preserves call-order semantics for ``cache_size=0``
-    stateful backends (query and remap interleave per column).
+    stateful backends: each plan is queried, then remapped (its retries
+    one model call each), before the next plan starts.
     """
 
     name = "sequential"
@@ -190,8 +215,9 @@ class BatchedExecutor(Executor):
     Pending prompts are issued through :meth:`QueryEngine.query_batch` in
     chunks of ``batch_size`` (all at once when ``None``); the scheduler
     resolves cache/store hits at submission, coalesces duplicates in flight,
-    and drains each chunk as one ``generate_batch`` call.  Remapping then
-    runs per plan, in plan order.
+    and drains each chunk as one ``generate_batch`` call.  Each chunk is
+    then remapped at once: its resample retries go out as one model batch
+    per attempt.
     """
 
     batch_size: int | None = None
@@ -209,22 +235,21 @@ class BatchedExecutor(Executor):
         stats: PipelineStats,
     ) -> list[AnnotationResult]:
         produced, pending = _split_pending(plans)
-        prompts = [plan.prompt.text for plan in pending]  # type: ignore[union-attr]
-        chunk = self.batch_size if self.batch_size is not None else len(prompts)
-        responses: list[str] = []
-        for start in range(0, len(prompts), max(chunk, 1)):
-            chunk_prompts = prompts[start:start + chunk]
+        chunk = self.batch_size if self.batch_size is not None else len(pending)
+        for start in range(0, len(pending), max(chunk, 1)):
+            chunk_plans = pending[start:start + chunk]
+            prompts = [plan.prompt.text for plan in chunk_plans]  # type: ignore[union-attr]
             with _attributed_hits(engine, stats, STAGE_QUERY), stats.timed(
-                STAGE_QUERY, calls=len(chunk_prompts)
+                STAGE_QUERY, calls=len(prompts)
             ):
-                responses.extend(engine.query_batch(chunk_prompts))
-
-        # strict=: a miscounting backend must fail loudly, not silently drop
-        # the tail of the column set.
-        for plan, response in zip(pending, responses, strict=True):
-            produced[plan.position] = _remap_response(
-                plan, response, engine, remapper, stats
-            )
+                responses = engine.query_batch(prompts)
+            # strict= (inside _remap_plans): a miscounting backend must fail
+            # loudly, not silently drop the tail of the column set.
+            for plan, result in zip(
+                chunk_plans,
+                _remap_plans(chunk_plans, responses, engine, remapper, stats),
+            ):
+                produced[plan.position] = result
         return _assemble(plans, produced)
 
 
@@ -238,7 +263,8 @@ class ConcurrentExecutor(Executor):
     :meth:`LanguageModel.clone_for_worker` model clones while dedup, caching
     and stats stay centralized.  Responses reassemble positionally, so the
     labels are identical to the batched path for the pure bundled backends.
-    Remapping (stage 4) runs on the main thread in plan order.
+    Remapping (stage 4) runs on the main thread over every pending plan at
+    once, so resample retries go out as one model batch per attempt.
 
     ``chunk_size`` bounds each thread's drain batches; by default the
     prompts are split evenly across ``workers``.
@@ -264,20 +290,18 @@ class ConcurrentExecutor(Executor):
         stats: PipelineStats,
     ) -> list[AnnotationResult]:
         produced, pending = _split_pending(plans)
-        prompts = [plan.prompt.text for plan in pending]  # type: ignore[union-attr]
-        responses: list[str] = []
-        if prompts:
+        if pending:
+            prompts = [plan.prompt.text for plan in pending]  # type: ignore[union-attr]
             with _attributed_hits(engine, stats, STAGE_QUERY), stats.timed(
                 STAGE_QUERY, calls=len(prompts)
             ):
                 responses = engine.query_batch_fanout(
                     prompts, workers=self.workers, chunk_size=self.chunk_size
                 )
-
-        for plan, response in zip(pending, responses, strict=True):
-            produced[plan.position] = _remap_response(
-                plan, response, engine, remapper, stats
-            )
+            for plan, result in zip(
+                pending, _remap_plans(pending, responses, engine, remapper, stats)
+            ):
+                produced[plan.position] = result
         return _assemble(plans, produced)
 
 
@@ -356,7 +380,8 @@ class ProcessExecutor(Executor):
     with the parent's ``max_batch_size`` / ``max_batch_wait`` /
     ``queue_depth``, LRU, model copy unpickled from the parent's) and their
     own connection to the shared SQLite-WAL response store.  Each worker
-    runs query + remap for its chunk in plan order; the parent merges
+    queries its chunk as one batch and remaps it at once (resample retries
+    in one batch per attempt, as in :class:`BatchedExecutor`); the parent merges
     results by position, so labels are bit-identical to
     :class:`SequentialExecutor` for the pure bundled backends (planning —
     the only RNG consumer — already happened in the parent).

@@ -19,6 +19,7 @@ when to use them.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,6 +139,35 @@ def _population_std(arr: np.ndarray, numbers: list[float]) -> float:
     return _SQRT_OF_FRAC(mss.numerator, mss.denominator)
 
 
+def _mean(numbers: list[float]) -> float:
+    """``statistics.fmean``, or the exact ``statistics.mean`` when the float
+    sum overflows (finite values whose sum passes the float range)."""
+    try:
+        return statistics.fmean(numbers)
+    except OverflowError:
+        return float(statistics.mean(numbers))
+
+
+def _median(arr: np.ndarray, numbers: list[float]) -> float:
+    """The median; ``np.median`` past the size where its call overhead
+    amortizes, the stdlib sort below it (both give the identical float).
+
+    Both average an even column's two middle values as ``(lo + hi) / 2``.
+    When that sum overflows, the midpoint is taken as ``lo / 2 + hi / 2``,
+    which is finite for finite ``lo`` and ``hi``.
+    """
+    if arr.size >= _NP_MEDIAN_MIN_SIZE:
+        with np.errstate(over="ignore"):
+            median = float(np.median(arr))
+    else:
+        median = float(statistics.median(numbers))
+    if math.isinf(median) and arr.size % 2 == 0:
+        upper = arr.size // 2
+        lo, hi = np.partition(arr, (upper - 1, upper))[upper - 1:upper + 1].tolist()
+        median = lo / 2 + hi / 2
+    return median
+
+
 def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
     """Compute the paper's summary statistics sketch over ``values``.
 
@@ -164,6 +194,12 @@ def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
       the median switches to ``np.median`` only past the size where its
       call overhead amortizes — both median branches produce the identical
       float.
+
+    For finite values every statistic is finite and nothing raises: a mean
+    or median whose intermediate sum overflows falls back to an
+    overflow-free form (see :func:`_mean` and :func:`_median`).  Only those
+    overflowing columns take the fallback, so every other prompt is
+    unchanged.
     """
     usable = [v for v in values if v.strip()]
     if not usable:
@@ -181,15 +217,11 @@ def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
         mode = float(statistics.mode(numbers))
     except statistics.StatisticsError:  # pragma: no cover - 3.8+ never raises
         mode = numbers[0]
-    if arr.size >= _NP_MEDIAN_MIN_SIZE:
-        median = float(np.median(arr))
-    else:
-        median = float(statistics.median(numbers))
     return SummaryStatistics(
         std=std,
-        mean=statistics.fmean(numbers),
+        mean=_mean(numbers),
         mode=mode,
-        median=median,
+        median=_median(arr, numbers),
         maximum=float(arr.max()),
         minimum=float(arr.min()),
         over_lengths=over_lengths,

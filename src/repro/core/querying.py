@@ -21,7 +21,10 @@ submission policies:
 * :meth:`QueryEngine.query_batch_fanout` submits from several threads at
   once, which makes each thread a concurrent drain leader — the continuous-
   batching path, where independent callers' requests coalesce into shared
-  cross-request batches.
+  cross-request batches;
+* :meth:`QueryEngine.requery` is :meth:`~QueryEngine.query_batch` at the
+  permuted parameters of one resample attempt: a remap wave's retries drain
+  as one ``generate_batch`` call.
 
 Caching, store tiering and coalescing are sound because every bundled backend
 is a pure function of ``(prompt, params)``; set ``cache_size=0`` when wrapping
@@ -201,11 +204,21 @@ class QueryEngine:
             keys, submitters=n_workers, batch_limit=batch_limit
         )
 
-    def requery(self, prompt: str, attempt: int) -> str:
-        """Re-query with permuted hyperparameters (remap-resample, Algorithm 3).
+    def requery(self, prompts: Sequence[str], attempt: int) -> list[str]:
+        """One resample wave: re-ask ``prompts`` at permuted hyperparameters.
 
-        Routed through the scheduler like a first attempt, so concurrent
-        retries of the same ``(prompt, attempt)`` dedup onto one model call
-        and the completion is cached and persisted like any other.
+        Remap-resample (Algorithm 3) calls this once per attempt with every
+        prompt whose answer is still outside its label set.  It is
+        :meth:`query_batch` at ``params.permuted(attempt)``: submit all, then
+        wait, so the wave drains as one ``generate_batch`` call, duplicates
+        (and concurrent retries of the same ``(prompt, attempt)``) coalesce
+        in flight, and completions are cached and persisted like any other.
+        A bare ``str`` is rejected rather than re-asked character by
+        character.
         """
-        return self.query(prompt, self.params.permuted(attempt))
+        if isinstance(prompts, str):
+            raise TypeError(
+                "requery takes a sequence of prompts (one resample wave), "
+                "not a single str"
+            )
+        return self.query_batch(prompts, self.params.permuted(attempt))

@@ -16,7 +16,15 @@ base four; **contains+resample** is their best-performing combination):
 
 All remappers share the :class:`Remapper` interface: they receive the raw
 response, the label set and (optionally) a ``requery`` callback for resampling,
-and return a :class:`RemapResult`.
+and return a :class:`RemapResult`.  :meth:`Remapper.remap_many` is the
+set-at-a-time form the executors call: it remaps a whole chunk of responses
+given a ``requery_many(indices, attempt)`` callback.  The base version loops
+over :meth:`Remapper.remap`; :class:`ResampleRemapper` instead retries in
+*waves* — every response still outside the label set after attempt ``a - 1``
+is re-asked in ONE ``requery_many`` call at attempt ``a`` — so a chunk costs
+at most ``k`` retry batches instead of one model call per retry.  Each
+response sees exactly the retries, in the same order, that the one-at-a-time
+Algorithm 3 would give it, so the results are identical.
 
 A note on ``RemapResult.remapped`` semantics (relevant when reading Table 7's
 remap counts): "exact match" everywhere means *equality under*
@@ -43,7 +51,7 @@ memoized view of the per-label normalization.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -54,6 +62,9 @@ from repro.llm.embeddings import DEFAULT_EMBEDDER, HashingEmbedder
 NULL_LABEL = "__unmapped__"
 
 RequeryFn = Callable[[int], str]
+#: ``requery_many(indices, attempt)``: re-ask the responses at ``indices``
+#: (ascending) at resample ``attempt``, one answer per index.
+RequeryManyFn = Callable[[Sequence[int], int], Sequence[str]]
 
 
 def normalize(text: str) -> str:
@@ -181,6 +192,30 @@ class Remapper(ABC):
     ) -> RemapResult:
         """Map ``response`` into ``label_set`` (or to :data:`NULL_LABEL`)."""
 
+    def remap_many(
+        self,
+        responses: Sequence[str],
+        label_sets: Sequence[Sequence[str]],
+        requery_many: RequeryManyFn | None = None,
+    ) -> list[RemapResult]:
+        """Remap ``responses[i]`` into ``label_sets[i]`` for every ``i``.
+
+        This version calls :meth:`remap` once per response, in order, and
+        hands each one a single-response view of ``requery_many``; strategies
+        that can batch their retries override it.
+        """
+        return [
+            self.remap(
+                response,
+                label_set,
+                None if requery_many is None
+                else lambda attempt, i=index: requery_many([i], attempt)[0],
+            )
+            for index, (response, label_set) in enumerate(
+                zip(responses, label_sets, strict=True)
+            )
+        ]
+
     def _passthrough(self, response: str, label_set: Sequence[str]) -> RemapResult | None:
         matched = exact_match(response, label_set)
         if matched is not None:
@@ -291,39 +326,69 @@ class ResampleRemapper(Remapper):
         label_set: Sequence[str],
         requery: RequeryFn | None = None,
     ) -> RemapResult:
-        accepted = self._accept(response, label_set)
-        if accepted is not None:
-            return RemapResult(
-                label=accepted,
-                original_response=response,
-                remapped=accepted != response,
-                strategy=self.name,
-                attempts=0,
-            )
-        if requery is None:
-            return RemapResult(
-                label=NULL_LABEL, original_response=response,
-                remapped=False, strategy=self.name,
-            )
-        last = response
-        for attempt in range(1, self.k + 1):
-            last = requery(attempt)
-            accepted = self._accept(last, label_set)
-            if accepted is not None:
-                return RemapResult(
+        requery_many: RequeryManyFn | None = None if requery is None else (
+            lambda indices, attempt: [requery(attempt)]
+        )
+        return self.remap_many([response], [label_set], requery_many)[0]
+
+    def remap_many(
+        self,
+        responses: Sequence[str],
+        label_sets: Sequence[Sequence[str]],
+        requery_many: RequeryManyFn | None = None,
+    ) -> list[RemapResult]:
+        """Algorithm 3 over a chunk, retrying in waves.
+
+        Attempt ``a`` re-asks, in one ``requery_many`` call, every response
+        that attempts ``0 .. a - 1`` left outside its label set; a response
+        is accepted at its first in-set answer, and gives up (null label,
+        ``attempts == k``) when all ``k`` retries miss.
+        """
+        results: dict[int, RemapResult] = {}
+        pending: list[int] = []
+        for index, (response, label_set) in enumerate(
+            zip(responses, label_sets, strict=True)
+        ):
+            accepted = self._accept(response, label_set)
+            if accepted is None:
+                pending.append(index)
+            else:
+                results[index] = RemapResult(
                     label=accepted,
                     original_response=response,
-                    remapped=True,
+                    remapped=accepted != response,
                     strategy=self.name,
-                    attempts=attempt,
                 )
-        return RemapResult(
-            label=NULL_LABEL,
-            original_response=response,
-            remapped=False,
-            strategy=self.name,
-            attempts=self.k,
-        )
+        gave_up_after = 0
+        if requery_many is not None:
+            for attempt in range(1, self.k + 1):
+                if not pending:
+                    break
+                answers = requery_many(pending, attempt)
+                missed: list[int] = []
+                for index, answer in zip(pending, answers, strict=True):
+                    accepted = self._accept(answer, label_sets[index])
+                    if accepted is None:
+                        missed.append(index)
+                    else:
+                        results[index] = RemapResult(
+                            label=accepted,
+                            original_response=responses[index],
+                            remapped=True,
+                            strategy=self.name,
+                            attempts=attempt,
+                        )
+                pending = missed
+            gave_up_after = self.k
+        for index in pending:
+            results[index] = RemapResult(
+                label=NULL_LABEL,
+                original_response=responses[index],
+                remapped=False,
+                strategy=self.name,
+                attempts=gave_up_after,
+            )
+        return [results[index] for index in range(len(responses))]
 
 
 class SimilarityRemapper(Remapper):
@@ -379,15 +444,16 @@ class ContainsResampleRemapper(Remapper):
         requery: RequeryFn | None = None,
     ) -> RemapResult:
         result = self._resample.remap(response, label_set, requery)
-        if result.strategy != self.name:
-            result = RemapResult(
-                label=result.label,
-                original_response=result.original_response,
-                remapped=result.remapped,
-                strategy=self.name,
-                attempts=result.attempts,
-            )
-        return result
+        return replace(result, strategy=self.name)
+
+    def remap_many(
+        self,
+        responses: Sequence[str],
+        label_sets: Sequence[Sequence[str]],
+        requery_many: RequeryManyFn | None = None,
+    ) -> list[RemapResult]:
+        results = self._resample.remap_many(responses, label_sets, requery_many)
+        return [replace(result, strategy=self.name) for result in results]
 
 
 _REMAPPERS: dict[str, Callable[[], Remapper]] = {

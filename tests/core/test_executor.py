@@ -10,6 +10,7 @@ must produce the same labels for the pure bundled backends.
 
 from __future__ import annotations
 
+import zlib
 from collections import Counter
 
 import pytest
@@ -483,3 +484,90 @@ class TestEveryExecutor:
         assert warm.n_queries == 0
         assert warm.n_store_hits > 0
         assert warm.predictions == cold.predictions
+
+
+class RetryBudgetModel(LanguageModel):
+    """Answers outside the label set until a prompt's retry budget runs out.
+
+    The budget, 0 to 4 retries, is a pure function of the prompt text, so a
+    worker process answers exactly as the parent would; a budget of 4
+    outlasts the default ``resample_k`` of 3, so that column gives up.
+    Module-level so the process executor can pickle it into its workers.
+    """
+
+    name = "retry-budget"
+    context_window = 2048
+
+    def __init__(self) -> None:
+        self.batches: list[list[str]] = []
+
+    @staticmethod
+    def budget(prompt: str) -> int:
+        return zlib.crc32(prompt.encode("utf-8")) % 5
+
+    def generate(self, prompt: str, params: GenerationParams | None = None) -> str:
+        budget = self.budget(prompt)
+        if (params or GenerationParams()).resample_index < budget:
+            return "no idea"
+        return LABELS[budget]
+
+    def generate_batch(self, prompts, params=None) -> list[str]:
+        self.batches.append(list(prompts))
+        return super().generate_batch(prompts, params)
+
+
+def _run_retry_workload(executor):
+    """Annotate 30 unique columns with the retry-budget model in one execute."""
+    columns = [
+        bc.column for bc in load_benchmark("sotab-27", n_columns=30, seed=5).columns
+    ]
+    model = RetryBudgetModel()
+    annotator = ArcheType(ArcheTypeConfig(model=model, label_set=LABELS, seed=0))
+    results = annotator.annotate_columns(columns, executor=executor)
+    return model, annotator, results
+
+
+def _remap_calls(annotator) -> int:
+    return {row["stage"]: row for row in annotator.stats.as_rows()}["remap"]["calls"]
+
+
+class TestRemapWaves:
+    """Resample retries go out as one model batch per attempt per chunk."""
+
+    K = 3  # ArcheTypeConfig.resample_k
+
+    def test_sequential_issues_one_batch_per_query_and_per_retry(self):
+        _, annotator, results = _run_retry_workload(SequentialExecutor())
+        budgets = [RetryBudgetModel.budget(r.prompt.text) for r in results]
+        assert {0, 4} <= set(budgets)  # covers no retry and giving up after k
+        assert annotator.engine.stats.n_batches == len(results) + sum(
+            min(budget, self.K) for budget in budgets
+        )
+        assert _remap_calls(annotator) == len(results)
+
+    @pytest.mark.parametrize("name", ["batched", "process"])
+    def test_one_model_batch_per_resample_attempt(self, name):
+        _, reference, golden = _run_retry_workload(SequentialExecutor())
+        if name == "process":
+            with ProcessExecutor(workers=1) as executor:
+                model, annotator, results = _run_retry_workload(executor)
+        else:
+            model, annotator, results = _run_retry_workload(BatchedExecutor())
+
+        def outcome(result):
+            return (result.label, result.remapped, result.raw_response)
+
+        assert [outcome(r) for r in results] == [outcome(r) for r in golden]
+        assert annotator.query_count == reference.query_count
+        prompts = [r.prompt.text for r in results]
+        assert len(set(prompts)) == len(prompts)
+        budgets = [RetryBudgetModel.budget(prompt) for prompt in prompts]
+        waves = min(max(budgets), self.K)
+        assert annotator.engine.stats.n_batches == 1 + waves
+        assert _remap_calls(annotator) == len(results)
+        if name == "batched":
+            # The model ran in this process: check each batch's contents.
+            assert model.batches == [prompts] + [
+                [p for p, budget in zip(prompts, budgets) if budget >= attempt]
+                for attempt in range(1, waves + 1)
+            ]

@@ -43,7 +43,7 @@ class TestQueryEngine:
         model = EchoModel()
         engine = QueryEngine(model=model)
         engine.query("hello")
-        engine.requery("hello", attempt=2)
+        engine.requery(["hello"], attempt=2)
         _, permuted = model.calls[1]
         assert permuted.resample_index == 2
         assert permuted.temperature > 0.0

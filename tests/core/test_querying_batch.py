@@ -42,7 +42,7 @@ class TestQueryCache:
         model = CountingModel()
         engine = QueryEngine(model=model)
         engine.query("hello")
-        engine.requery("hello", attempt=1)
+        engine.requery(["hello"], attempt=1)
         assert len(model.calls) == 2
         assert engine.stats.n_cache_hits == 0
 

@@ -105,10 +105,10 @@ class TestStoreTier:
         model = CountingModel()
         engine = QueryEngine(model=model, store=store)
         engine.query("p")
-        engine.requery("p", attempt=1)
+        engine.requery(["p"], attempt=1)
         assert len(store) == 2
         warm = QueryEngine(model=CountingModel(), store=store)
-        assert warm.requery("p", attempt=1) == "answer:p:1"
+        assert warm.requery(["p"], attempt=1) == ["answer:p:1"]
         assert warm.stats.n_store_hits == 1
 
     def test_cache_size_zero_bypasses_store(self, store):

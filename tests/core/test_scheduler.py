@@ -311,7 +311,7 @@ class TestRequeryScheduling:
         model = CountingModel()
         engine = QueryEngine(model=model)
         engine.query("p")
-        engine.requery("p", attempt=1)
+        engine.requery(["p"], attempt=1)
         # Both calls drained through generate_batch — the scheduler path —
         # not a direct generate() side door.
         assert model.batch_calls == [["p"], ["p"]]
@@ -322,8 +322,8 @@ class TestRequeryScheduling:
     def test_repeated_requery_is_cached_and_stats_pinned(self):
         model = CountingModel()
         engine = QueryEngine(model=model)
-        first = engine.requery("p", attempt=2)
-        second = engine.requery("p", attempt=2)
+        [first] = engine.requery(["p"], attempt=2)
+        [second] = engine.requery(["p"], attempt=2)
         assert first == second == "ans:p:2"
         assert len(model.calls) == 1
         assert engine.stats.n_queries == 1
@@ -331,13 +331,32 @@ class TestRequeryScheduling:
         assert engine.stats.n_cache_hits == 1
         assert engine.stats.n_prompts == 2
 
+    def test_requery_wave_is_one_model_batch(self):
+        model = CountingModel()
+        engine = QueryEngine(model=model)
+        answers = engine.requery(["a", "b", "a"], 1)
+        assert answers == ["ans:a:1", "ans:b:1", "ans:a:1"]
+        assert model.batch_calls == [["a", "b"]]
+        assert engine.stats.n_batches == 1
+        assert engine.stats.n_queries == 2
+        assert engine.stats.n_resamples == 2
+        assert engine.stats.n_inflight_hits == 1
+
+    def test_requery_rejects_a_bare_str(self):
+        model = CountingModel()
+        engine = QueryEngine(model=model)
+        with pytest.raises(TypeError, match="sequence of prompts"):
+            engine.requery("ab", 1)
+        assert model.calls == []
+        assert engine.stats.n_prompts == 0
+
     def test_concurrent_requeries_coalesce(self):
         model = GatedModel()
         engine = QueryEngine(model=model)
         outcomes: list[str] = []
 
         def retry() -> None:
-            outcomes.append(engine.requery("p", attempt=1))
+            outcomes.extend(engine.requery(["p"], attempt=1))
 
         leader = threading.Thread(target=retry)
         leader.start()

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from repro.core.remapping import (
     NULL_LABEL,
     ContainsRemapper,
+    ContainsResampleRemapper,
     NoOpRemapper,
+    ResampleRemapper,
     SimilarityRemapper,
     normalize,
 )
@@ -62,6 +64,75 @@ class TestRemappingInvariants:
         result = SimilarityRemapper().remap(response, labels)
         if response.strip() and HashingEmbedder().embed(response).any():
             assert result.label in labels
+
+
+RESAMPLERS = {
+    "resample": lambda k: ResampleRemapper(k=k),
+    "resample+contains": lambda k: ResampleRemapper(k=k, use_contains=True),
+    "contains+resample": lambda k: ContainsResampleRemapper(k=k),
+}
+
+
+def _answers(labels):
+    """In-set, verbose (in-set only under CONTAINS) and free-form answers."""
+    return st.one_of(
+        st.sampled_from(labels),
+        st.sampled_from(labels).map(lambda label: f"it is {label}"),
+        text,
+    )
+
+
+class TestResampleWaves:
+    """``remap_many`` retries in waves yet equals one ``remap`` per response."""
+
+    @given(st.sampled_from(sorted(RESAMPLERS)), st.integers(1, 4), label_sets,
+           st.data())
+    @settings(max_examples=150)
+    def test_remap_many_equals_remap_per_response(self, name, k, labels, data):
+        remapper = RESAMPLERS[name](k)
+        n = data.draw(st.integers(0, 8), label="n")
+        responses = data.draw(st.lists(_answers(labels), min_size=n, max_size=n))
+        scripts = data.draw(st.lists(
+            st.lists(_answers(labels), min_size=k, max_size=k),
+            min_size=n, max_size=n,
+        ))
+        label_sets_per_response = [labels] * n
+        singles = [
+            remapper.remap(
+                response, labels, lambda attempt, i=i: scripts[i][attempt - 1]
+            )
+            for i, response in enumerate(responses)
+        ]
+        calls: list[tuple[list[int], int]] = []
+
+        def requery_many(indices, attempt):
+            calls.append((list(indices), attempt))
+            return [scripts[i][attempt - 1] for i in indices]
+
+        waves = remapper.remap_many(responses, label_sets_per_response, requery_many)
+        assert waves == singles
+
+        # One call per attempt, attempts 1, 2, ... and never more than k.
+        assert [attempt for _, attempt in calls] == list(range(1, len(calls) + 1))
+        assert len(calls) <= k
+
+        # Attempt a re-asks exactly the responses no earlier attempt accepted,
+        # in ascending order, and the waves stop once none is left.
+        def unaccepted_before(attempt):
+            return [
+                i for i, single in enumerate(singles)
+                if single.label == NULL_LABEL or single.attempts >= attempt
+            ]
+
+        for indices, attempt in calls:
+            assert indices == unaccepted_before(attempt)
+            assert indices
+        assert len(calls) == k or not unaccepted_before(len(calls) + 1)
+
+        # Without a requery callback nothing is retried, as for remap.
+        assert remapper.remap_many(responses, label_sets_per_response) == [
+            remapper.remap(response, labels) for response in responses
+        ]
 
 
 class TestEmbeddingInvariants:

@@ -86,11 +86,23 @@ def _scalar_summary_statistics(values) -> SummaryStatistics | None:
         mode = float(statistics.mode(numbers))
     except statistics.StatisticsError:  # pragma: no cover - 3.8+ never raises
         mode = numbers[0]
+    # The declared overflow outcome: an fsum that overflows falls back to the
+    # exact mean, and an overflowing midpoint of the two middle values to
+    # lo / 2 + hi / 2.
+    try:
+        mean = statistics.fmean(numbers)
+    except OverflowError:
+        mean = float(statistics.mean(numbers))
+    median = float(statistics.median(numbers))
+    if math.isinf(median) and len(numbers) % 2 == 0:
+        ordered = sorted(numbers)
+        lo, hi = ordered[len(ordered) // 2 - 1], ordered[len(ordered) // 2]
+        median = lo / 2 + hi / 2
     return SummaryStatistics(
         std=std,
-        mean=statistics.fmean(numbers),
+        mean=mean,
         mode=mode,
-        median=float(statistics.median(numbers)),
+        median=median,
         maximum=max(numbers),
         minimum=min(numbers),
         over_lengths=over_lengths,
@@ -168,6 +180,25 @@ class TestSummaryStatisticsExactness:
                 assert summary_statistics(values) == _scalar_summary_statistics(
                     values
                 )
+
+    def test_overflowing_sums_stay_finite(self):
+        # Regression: finite values whose sum passes the float range used to
+        # raise OverflowError from fmean, and the median's (lo + hi) / 2 was
+        # inf, which then raised from _format_stat.  Two values take the
+        # stdlib median branch, 600 the np.median branch.
+        cases = {
+            ("9e307", "9e307"): 9e307,
+            ("9e307",) * 300 + ("9.5e307",) * 300: 9.25e307,
+        }
+        for values, expected_median in cases.items():
+            stats = summary_statistics(values)
+            assert stats is not None
+            assert stats.mean == statistics.mean(float(v) for v in values)
+            assert stats.median == expected_median
+            for field in ("std", "mean", "mode", "median", "maximum", "minimum"):
+                assert math.isfinite(getattr(stats, field)), field
+            assert len(stats.as_strings()) == 6
+            assert stats == _scalar_summary_statistics(values)
 
 
 class TestVectorizedImportanceScoring:
