@@ -1,12 +1,13 @@
 """Micro-benchmarks for the vectorized pure-Python hot loops.
 
-Profiling the annotation path (``repro --profile``) shows three loops paying
+Profiling the annotation path (``repro --profile``) shows four loops paying
 per-value Python interpreter cost on every column: importance scoring in
-context sampling, number parsing in summary statistics, and the CONTAINS
-label scan in remapping.  Each benchmark here replays one of those loops at
-workload scale, comparing the vectorized implementation against an inline
-copy of the scalar one it replaced — asserting **exact** equivalence (same
-float64 arrays, same formatted strings, same matched labels) and recording
+context sampling, number parsing in summary statistics, the CONTAINS label
+scan in remapping, and the simulated model's per-label option scoring.  Each
+benchmark here replays one of those loops at workload scale, comparing the
+optimized implementation against an inline copy of the one it replaced —
+asserting **exact** equivalence (same float64 arrays, same formatted strings,
+same matched labels, same option scores) and recording
 throughput + speedup into the ``BENCH_<shortsha>.json`` artifact, where
 ``scripts/bench_regression_check.py`` gates them against
 ``benchmarks/baseline.json``.
@@ -31,7 +32,13 @@ from repro.core.sampling import (
     length_importance,
     make_label_containment_importance,
 )
-from repro.datasets.sotab import SOTAB91_CLASSES
+from repro.core.serialization import PromptSerializer, PromptStyle
+from repro.datasets.sotab import SOTAB91_CLASSES, load_sotab91
+from repro.llm.base import GenerationParams
+from repro.llm.concepts import label_tokens
+from repro.llm.knowledge import score_concept
+from repro.llm.prompt_parsing import parse_prompt
+from repro.llm.simulated import _GENERIC_TOKENS, OptionScore, SimulatedLLM, _stable_seed
 
 
 def _synthetic_columns(n_columns: int, seed: int = 7) -> list[list[str]]:
@@ -247,3 +254,101 @@ def test_contains_match_precompiled(benchmark, bench_columns):
 
     if not os.environ.get("CI"):
         assert info["speedup"] > 1.5, info
+
+
+def _per_label_score_options(model, parsed, params, rng) -> list[OptionScore]:
+    """The per-label ``score_options`` loop before its label-set invariants
+    were hoisted (inline reference)."""
+    profile = model.profile
+    skill = max(0.05, profile.base_skill + profile.style_modifier(parsed.style_letter))
+    noise_scale = model._noise_scale(parsed, params, len(parsed.options))
+    values = parsed.context_values
+    scores = []
+    for index, label in enumerate(parsed.options):
+        resolved = model.resolver.resolve(label)
+        evidence = 0.0
+        concept_name = None
+        if resolved.concept is not None:
+            concept_name = resolved.concept.name
+            raw = score_concept(resolved.concept, values)
+            specificity = min(resolved.concept.specificity, 3.2) / 3.2
+            evidence = raw * (0.55 + 0.45 * specificity) * resolved.match_quality
+        tokens = [
+            t for t in label_tokens(label) if len(t) > 3 and t not in _GENERIC_TOKENS
+        ]
+        affinity = 0.0
+        if tokens:
+            haystack = " ".join(values).lower()
+            affinity = sum(1 for t in tokens if t in haystack) / len(tokens)
+        lexical = affinity * profile.lexical_affinity_weight
+        adjustment = 0.0
+        normalized = label.strip().lower()
+        if concept_name is not None:
+            adjustment += profile.class_adjustments.get(concept_name, 0.0)
+        adjustment += profile.class_adjustments.get(normalized, 0.0)
+        position_jitter = (
+            (_stable_seed(profile.name, label, index) % 1000) / 1000.0 - 0.5
+        ) * 0.05
+        noise = float(rng.normal(0.0, noise_scale))
+        total = skill * (evidence + lexical) + adjustment + position_jitter + noise
+        scores.append(OptionScore(
+            label=label, concept_name=concept_name, evidence=evidence,
+            lexical=lexical, adjustment=adjustment, noise=noise, total=total,
+        ))
+    return scores
+
+
+def test_score_options_hoisted(benchmark, bench_columns):
+    """Simulated model: label-set invariants memoized, each distinct concept
+    scored once per prompt and the option noise drawn in one call vs. the
+    per-label loop.
+
+    The workload is the offline write path's prompt shape: SOTAB-91 columns
+    serialized against the full 91-label set, one prompt per column.
+    """
+    sotab = load_sotab91(n_columns=bench_columns * 4, n_train_columns=0, seed=3)
+    label_set = list(sotab.label_set)
+    serializer = PromptSerializer(style=PromptStyle.S, context_window=4096)
+    parsed = [
+        parse_prompt(serializer.serialize(labeled.column.values[:5], label_set).text)
+        for labeled in sotab.columns
+    ]
+    params = GenerationParams()
+
+    def compare() -> dict[str, float]:
+        legacy_model = SimulatedLLM("gpt")
+        start = perf_counter()
+        legacy = [
+            _per_label_score_options(
+                legacy_model, prompt, params, np.random.default_rng(index)
+            )
+            for index, prompt in enumerate(parsed)
+        ]
+        legacy_seconds = perf_counter() - start
+
+        # A fresh model, so building the label-set memo is timed too.
+        model = SimulatedLLM("gpt")
+        start = perf_counter()
+        hoisted = [
+            model.score_options(prompt, params, np.random.default_rng(index))
+            for index, prompt in enumerate(parsed)
+        ]
+        hoisted_seconds = perf_counter() - start
+
+        # Every option score feeds the completion: not one float may drift.
+        assert hoisted == legacy
+        return {
+            "n_prompts": len(parsed),
+            "n_labels": len(label_set),
+            "legacy_seconds": legacy_seconds,
+            "hoisted_seconds": hoisted_seconds,
+            "speedup": legacy_seconds / hoisted_seconds,
+            "prompts_per_second": len(parsed) / hoisted_seconds,
+        }
+
+    info = run_once(benchmark, compare)
+    benchmark.extra_info.update(info)
+    record_bench_result("hot_loop_score_options", **info)
+
+    if not os.environ.get("CI"):
+        assert info["speedup"] > 1.3, info

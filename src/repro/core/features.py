@@ -98,7 +98,7 @@ def _population_std(arr: np.ndarray, numbers: list[float]) -> float:
     identical float.
     """
     n = arr.size
-    if _SQRT_OF_FRAC is None or not np.isfinite(arr).all():
+    if _SQRT_OF_FRAC is None:
         return statistics.pstdev(numbers)
     mantissa, exponent = np.frexp(arr)
     ints = np.ldexp(mantissa, 53).astype(np.int64)  # exact: |m * 2**53| <= 2**53
@@ -195,22 +195,25 @@ def summary_statistics(values: Sequence[str]) -> SummaryStatistics | None:
       call overhead amortizes — both median branches produce the identical
       float.
 
-    For finite values every statistic is finite and nothing raises: a mean
-    or median whose intermediate sum overflows falls back to an
-    overflow-free form (see :func:`_mean` and :func:`_median`).  Only those
-    overflowing columns take the fallback, so every other prompt is
+    A numeric column whose parse holds a non-finite float (a literal such as
+    ``"1e999"`` overflows to ``inf``) is summarised over value lengths, as
+    the strings ``"inf"`` and ``"nan"`` already are: they never pass the
+    numeric gate.  For finite values every statistic is finite and nothing
+    raises: a mean or median whose intermediate sum overflows falls back to
+    an overflow-free form (see :func:`_mean` and :func:`_median`).  Only
+    those overflowing columns take the fallback, so every other prompt is
     unchanged.
     """
     usable = [v for v in values if v.strip()]
     if not usable:
         return None
+    over_lengths = True
     if all_numeric_strings(usable):
         stripped = [v.replace(",", "") for v in usable]
         arr = np.array(stripped, dtype=np.float64)
-        over_lengths = False
-    else:
+        over_lengths = not np.isfinite(arr).all()
+    if over_lengths:
         arr = np.fromiter(map(len, usable), dtype=np.float64, count=len(usable))
-        over_lengths = True
     numbers = arr.tolist()
     std = _population_std(arr, numbers) if len(numbers) > 1 else 0.0
     try:

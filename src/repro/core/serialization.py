@@ -181,13 +181,6 @@ class PromptSerializer:
             return _FT_TEMPLATE
         return _ZS_TEMPLATES[self.style]
 
-    def effective_label_set(
-        self, label_set: Sequence[str], context_values: Sequence[str]
-    ) -> tuple[list[str], bool]:
-        """Apply the numeric-label restriction when the context is numeric."""
-        labels, _, restricted = self._label_text(label_set, context_values)
-        return list(labels), restricted
-
     def _label_text(
         self, label_set: Sequence[str], context_values: Sequence[str]
     ) -> tuple[tuple[str, ...], str, bool]:

@@ -124,7 +124,8 @@ class LanguageModel(ABC):
         which is correct for backends whose :meth:`generate` is a pure
         function of ``(prompt, params)`` with no mutable inference-time state
         — true of every bundled backend (:class:`repro.llm.simulated.
-        SimulatedLLM` builds a fresh RNG per call; :class:`repro.llm.finetune.
+        SimulatedLLM` builds a fresh RNG per call, and its only state is a
+        memo of pure per-label-set values; :class:`repro.llm.finetune.
         FineTunedLLM` only reads its prototypes after ``fit``).  A backend
         wrapping a stateful resource (an HTTP session, a local inference
         context) must override this to return an independent copy.

@@ -17,10 +17,17 @@ parameters), so experiments are exactly reproducible while remap-resample
 retries (which permute the generation parameters) still obtain different
 completions.
 
-Thread safety: the simulator holds no mutable inference-time state — every
-:meth:`SimulatedLLM.generate` call builds its own RNG and parse — so the
-default :meth:`repro.llm.base.LanguageModel.clone_for_worker` (returning
-``self``) is sound and concurrent fan-out may share one instance.
+Thread safety: every :meth:`SimulatedLLM.generate` call builds its own RNG
+and parse.  The one thing the model keeps between calls is a bounded memo of
+per-label-set values (resolved concepts, class adjustments, position
+jitter), which are pure functions of (profile, resolver, label set): an
+entry is built in full and published with one dict store, so threads racing
+on the same label set only recompute identical values.  The default
+:meth:`repro.llm.base.LanguageModel.clone_for_worker` (returning ``self``) is
+therefore sound and concurrent fan-out may share one instance.  The memo is
+left out of the pickled state, so a model pickles to the same bytes before
+and after use (the process executor reuses its pool only while those bytes
+are equal).
 """
 
 from __future__ import annotations
@@ -29,13 +36,13 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.llm.base import BatchParams, GenerationParams, LanguageModel, broadcast_params
 from repro.llm.concepts import DEFAULT_RESOLVER, LabelResolver, label_tokens
-from repro.llm.knowledge import CONCEPTS, score_concept
+from repro.llm.knowledge import CONCEPTS, Concept, score_concept
 from repro.llm.profiles import ModelProfile, get_profile
 from repro.llm.prompt_parsing import ParsedPrompt, parse_prompt
 
@@ -77,8 +84,37 @@ class OptionScore:
     total: float
 
 
+class _OptionInvariants(NamedTuple):
+    """Everything about one candidate label that does not depend on the prompt."""
+
+    label: str
+    concept_name: str | None
+    #: Index into :attr:`_LabelSetInvariants.concepts`, None when unresolved.
+    concept_slot: int | None
+    #: ``0.55 + 0.45 * specificity``, the evidence weight of the concept.
+    specificity_factor: float
+    match_quality: float
+    #: The label's distinctive tokens, matched against the context.
+    lexical_tokens: tuple[str, ...]
+    adjustment: float
+    position_jitter: float
+
+
+class _LabelSetInvariants(NamedTuple):
+    """One label set's scoring invariants, for a given profile and resolver."""
+
+    #: The distinct concepts behind the labels, each scored once per prompt.
+    concepts: tuple[Concept, ...]
+    options: tuple[_OptionInvariants, ...]
+
+
 class SimulatedLLM(LanguageModel):
     """Deterministic, profile-driven stand-in for a real LLM backend."""
+
+    #: Label sets whose invariants the model keeps; the memo is cleared when
+    #: full.  An annotation run prompts with few distinct label sets, so the
+    #: bound only matters for sweeps over many label sets.
+    _LABEL_SET_MEMO_LIMIT = 256
 
     def __init__(
         self,
@@ -103,6 +139,18 @@ class SimulatedLLM(LanguageModel):
         #: benchmarks opt in to measure scheduling policies under the
         #: latency the real backends impose.  Completions are unaffected.
         self.latency = float(latency)
+        self._label_sets: dict[tuple[str, ...], _LabelSetInvariants] = {}
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The memo is derived data (and holds concept scorers, which are
+        # lambdas): leave it out so pickling works and is independent of use.
+        state = self.__dict__.copy()
+        del state["_label_sets"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._label_sets = {}
 
     def _simulate_round_trip(self) -> None:
         if self.latency > 0.0:
@@ -133,14 +181,56 @@ class SimulatedLLM(LanguageModel):
                 count += 1
         return count
 
-    def _lexical_affinity(self, label: str, values: tuple[str, ...]) -> float:
-        """Fraction of the label's distinctive tokens found in the context."""
-        tokens = [t for t in label_tokens(label) if len(t) > 3 and t not in _GENERIC_TOKENS]
-        if not tokens:
-            return 0.0
-        haystack = " ".join(values).lower()
-        hits = sum(1 for t in tokens if t in haystack)
-        return hits / len(tokens)
+    def _label_set(self, options: tuple[str, ...]) -> _LabelSetInvariants:
+        """The scoring invariants of ``options``, memoized per label set."""
+        cached = self._label_sets.get(options)
+        if cached is not None:
+            return cached
+        profile = self.profile
+        slots: dict[int, int] = {}  # id(concept) -> index into ``concepts``
+        concepts: list[Concept] = []
+        built: list[_OptionInvariants] = []
+        for index, label in enumerate(options):
+            resolved = self.resolver.resolve(label)
+            concept = resolved.concept
+            concept_name = None
+            slot = None
+            specificity_factor = 0.0
+            adjustment = 0.0
+            if concept is not None:
+                concept_name = concept.name
+                slot = slots.setdefault(id(concept), len(concepts))
+                if slot == len(concepts):
+                    concepts.append(concept)
+                specificity = min(concept.specificity, 3.2) / 3.2
+                specificity_factor = 0.55 + 0.45 * specificity
+                adjustment += profile.class_adjustments.get(concept_name, 0.0)
+            adjustment += profile.class_adjustments.get(label.strip().lower(), 0.0)
+            # Deterministic label-position sensitivity (Appendix C): the same
+            # label at a different position receives a slightly different
+            # prior, which is the functional equivalent of label noise.
+            position_jitter = (
+                (_stable_seed(profile.name, label, index) % 1000) / 1000.0 - 0.5
+            ) * 0.05
+            built.append(_OptionInvariants(
+                label=label,
+                concept_name=concept_name,
+                concept_slot=slot,
+                specificity_factor=specificity_factor,
+                match_quality=resolved.match_quality,
+                lexical_tokens=tuple(
+                    t for t in label_tokens(label)
+                    if len(t) > 3 and t not in _GENERIC_TOKENS
+                ),
+                adjustment=adjustment,
+                position_jitter=position_jitter,
+            ))
+        entry = _LabelSetInvariants(concepts=tuple(concepts), options=tuple(built))
+        memo = self._label_sets
+        if len(memo) >= self._LABEL_SET_MEMO_LIMIT:
+            memo.clear()
+        memo[options] = entry
+        return entry
 
     def _noise_scale(
         self,
@@ -164,42 +254,43 @@ class SimulatedLLM(LanguageModel):
         params: GenerationParams,
         rng: np.random.Generator,
     ) -> list[OptionScore]:
-        """Score every candidate label against the parsed context."""
+        """Score every candidate label against the parsed context.
+
+        Per label, evidence is the resolved concept's score over the context
+        weighted by specificity and match quality, and lexical is the share
+        of the label's distinctive tokens found in the context.  The label
+        set's invariants come from :meth:`_label_set`; per prompt, each
+        distinct concept is scored once and the noise of every option is
+        drawn in one call (the same floats, in label order, as one draw per
+        label).
+        """
         profile = self.profile
         skill = max(0.05, profile.base_skill + profile.style_modifier(parsed.style_letter))
         noise_scale = self._noise_scale(parsed, params, len(parsed.options))
         values = parsed.context_values
+        label_set = self._label_set(parsed.options)
+        raw_scores = [score_concept(concept, values) for concept in label_set.concepts]
+        haystack = " ".join(values).lower()
+        lexical_weight = profile.lexical_affinity_weight
+        noises = rng.normal(0.0, noise_scale, size=len(label_set.options)).tolist()
         scores: list[OptionScore] = []
-        for index, label in enumerate(parsed.options):
-            resolved = self.resolver.resolve(label)
+        for option, noise in zip(label_set.options, noises):
             evidence = 0.0
-            concept_name = None
-            if resolved.concept is not None:
-                concept_name = resolved.concept.name
-                raw = score_concept(resolved.concept, values)
-                specificity = min(resolved.concept.specificity, 3.2) / 3.2
-                evidence = raw * (0.55 + 0.45 * specificity) * resolved.match_quality
-            lexical = self._lexical_affinity(label, values) * profile.lexical_affinity_weight
-            adjustment = 0.0
-            normalized = label.strip().lower()
-            if concept_name is not None:
-                adjustment += profile.class_adjustments.get(concept_name, 0.0)
-            adjustment += profile.class_adjustments.get(normalized, 0.0)
-            # Deterministic label-position sensitivity (Appendix C): the same
-            # label at a different position receives a slightly different
-            # prior, which is the functional equivalent of label noise.
-            position_jitter = (
-                (_stable_seed(profile.name, label, index) % 1000) / 1000.0 - 0.5
-            ) * 0.05
-            noise = float(rng.normal(0.0, noise_scale))
-            total = skill * (evidence + lexical) + adjustment + position_jitter + noise
+            if option.concept_slot is not None:
+                evidence = (raw_scores[option.concept_slot] * option.specificity_factor
+                            * option.match_quality)
+            tokens = option.lexical_tokens
+            affinity = sum(1 for t in tokens if t in haystack) / len(tokens) if tokens else 0.0
+            lexical = affinity * lexical_weight
+            total = (skill * (evidence + lexical) + option.adjustment
+                     + option.position_jitter + noise)
             scores.append(
                 OptionScore(
-                    label=label,
-                    concept_name=concept_name,
+                    label=option.label,
+                    concept_name=option.concept_name,
                     evidence=evidence,
                     lexical=lexical,
-                    adjustment=adjustment,
+                    adjustment=option.adjustment,
                     noise=noise,
                     total=total,
                 )

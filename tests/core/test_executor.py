@@ -382,6 +382,41 @@ class TestProcessExecutor:
             assert labels == GOLDEN_SOTAB_GPT
             assert executor._pool is not None
 
+    def test_pool_reused_after_in_process_annotation(self):
+        """In-process calls fill the simulated model's label-set memo; the
+        memo must stay out of the pickled worker spec, or the spec fails to
+        pickle (concept scorers are lambdas) or changes, rebuilding the pool.
+        The call in between adds a label set: the numeric restriction."""
+        benchmark = load_benchmark("sotab-27", n_columns=24, seed=5)
+        columns = [bc.column for bc in benchmark.columns]
+        numeric = Column(values=["12", "7", "3.5", "40", "18"])
+        config = ArcheTypeConfig(
+            model="gpt", label_set=benchmark.label_set, sample_size=5, seed=0,
+            numeric_labels=("number", "price", "weight"),
+        )
+
+        def labels(results):
+            return [r.label for r in results]
+
+        reference = ArcheType(config)
+        expected = [
+            reference.annotate_column(columns[0]).label,
+            labels(reference.annotate_columns(columns[1:12], executor="sequential")),
+            reference.annotate_column(numeric).label,
+            labels(reference.annotate_columns(columns[12:], executor="sequential")),
+        ]
+
+        annotator = ArcheType(config)
+        with ProcessExecutor(workers=2) as executor:
+            first = annotator.annotate_column(columns[0]).label
+            one = labels(annotator.annotate_columns(columns[1:12], executor=executor))
+            pool = executor._pool
+            between = annotator.annotate_column(numeric).label
+            two = labels(annotator.annotate_columns(columns[12:], executor=executor))
+            assert pool is not None
+            assert executor._pool is pool
+        assert [first, one, between, two] == expected
+
     def test_non_sqlite_store_is_a_clean_config_error(self, tmp_path):
         """Workers can only share a SQLite store; any other store fails up
         front instead of leaving the workers without a warm tier."""

@@ -44,6 +44,34 @@ class TestSummaryStatistics:
         assert stats.over_lengths
 
 
+class TestNonFiniteNumbers:
+    """A numeric column whose parse holds inf is summarised over lengths."""
+
+    def test_overflowing_literal_is_summarised_over_lengths(self):
+        # "1e999" passes the numeric gate but parses to inf; pstdev used to
+        # raise AttributeError on it.
+        for values in (["1e999", "2"], ["-1e999", "2"], ["9" * 400, "2"]):
+            stats = summary_statistics(values)
+            assert stats is not None
+            assert stats.over_lengths
+            lengths = [float(len(v)) for v in values]
+            assert stats.maximum == max(lengths)
+            assert stats.minimum == min(lengths)
+            assert stats.mean == sum(lengths) / len(lengths)
+        assert summary_statistics(["1e999", "2"]) == summary_statistics(["abcde", "x"])
+
+    def test_annotate_column_with_summary_statistics(self):
+        from repro import ArcheType, ArcheTypeConfig
+
+        annotator = ArcheType(ArcheTypeConfig(
+            model="gpt", label_set=("number", "text", "url"), seed=0,
+            features=FeatureConfig(include_summary_stats=True),
+        ))
+        result = annotator.annotate_column(Column(values=["1e999", "2", "3"]))
+        assert result.prompt is not None
+        assert "len max: 5" in result.prompt.text
+
+
 class TestFeatureConfig:
     def test_from_spec_round_trip(self):
         config = FeatureConfig.from_spec("CS+TN+SS")

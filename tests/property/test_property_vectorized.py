@@ -45,6 +45,9 @@ _numeric_cores = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False).map(lambda f: f"{f:.3f}"),
     st.floats(-1e20, 1e20, allow_nan=False).map(lambda f: f"{f:e}"),
     st.fractions().map(lambda q: repr(float(q))),
+    # Literals past the float range parse to inf (the length-summary rule).
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(1, 99), st.integers(309, 999)),
+    st.integers(309, 400).map(lambda n: "9" * n),
 )
 _padding = st.sampled_from(["", " ", "  ", "\t"])
 numeric_strings = st.builds(
@@ -75,12 +78,14 @@ def _scalar_summary_statistics(values) -> SummaryStatistics | None:
     usable = [v for v in values if v.strip()]
     if not usable:
         return None
+    numbers = None
     if all(is_numeric_string(v) for v in usable):
         numbers = [float(v.replace(",", "")) for v in usable]
-        over_lengths = False
-    else:
+    # The declared non-finite outcome: a numeric parse holding inf or nan is
+    # summarised over value lengths, like any text column.
+    over_lengths = numbers is None or not all(math.isfinite(x) for x in numbers)
+    if over_lengths:
         numbers = [float(len(v)) for v in usable]
-        over_lengths = True
     std = statistics.pstdev(numbers) if len(numbers) > 1 else 0.0
     try:
         mode = float(statistics.mode(numbers))
