@@ -13,7 +13,9 @@ throughput + speedup into the ``BENCH_<shortsha>.json`` artifact, where
 ``benchmarks/baseline.json``.
 
 The equivalence assertions always gate (CI included); the speedup ratio
-assertions are local-only, like every wall-clock check in this suite.
+assertions are local-only, like every wall-clock check in this suite.  The
+simulated model's concept-detector calls are also counted, a deterministic
+cost proxy that CI gates.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from repro.core.sampling import (
 from repro.core.serialization import PromptSerializer, PromptStyle
 from repro.datasets.sotab import SOTAB91_CLASSES, load_sotab91
 from repro.llm.base import GenerationParams
-from repro.llm.concepts import label_tokens
-from repro.llm.knowledge import score_concept
+from repro.llm.concepts import DEFAULT_RESOLVER, label_tokens
+from repro.llm.knowledge import Concept, score_concept
 from repro.llm.prompt_parsing import parse_prompt
 from repro.llm.simulated import _GENERIC_TOKENS, OptionScore, SimulatedLLM, _stable_seed
 
@@ -298,21 +300,27 @@ def _per_label_score_options(model, parsed, params, rng) -> list[OptionScore]:
     return scores
 
 
-def test_score_options_hoisted(benchmark, bench_columns):
-    """Simulated model: label-set invariants memoized, each distinct concept
-    scored once per prompt and the option noise drawn in one call vs. the
-    per-label loop.
-
-    The workload is the offline write path's prompt shape: SOTAB-91 columns
-    serialized against the full 91-label set, one prompt per column.
-    """
+def _sotab_prompts(bench_columns: int) -> tuple[list[str], list[str]]:
+    """The offline write path's prompt shape: SOTAB-91 columns serialized
+    against the full 91-label set, one prompt per column; and the label set."""
     sotab = load_sotab91(n_columns=bench_columns * 4, n_train_columns=0, seed=3)
     label_set = list(sotab.label_set)
     serializer = PromptSerializer(style=PromptStyle.S, context_window=4096)
-    parsed = [
-        parse_prompt(serializer.serialize(labeled.column.values[:5], label_set).text)
+    prompts = [
+        serializer.serialize(labeled.column.values[:5], label_set).text
         for labeled in sotab.columns
     ]
+    return prompts, label_set
+
+
+def test_score_options_hoisted(benchmark, bench_columns):
+    """Simulated model: label-set invariants memoized, each context value
+    scored once under all of the set's concepts, every option scored with
+    array operations and the option noise drawn in one call vs. the
+    per-label loop, on the offline write path's prompts.
+    """
+    prompts, label_set = _sotab_prompts(bench_columns)
+    parsed = [parse_prompt(prompt) for prompt in prompts]
     params = GenerationParams()
 
     def compare() -> dict[str, float]:
@@ -352,3 +360,49 @@ def test_score_options_hoisted(benchmark, bench_columns):
 
     if not os.environ.get("CI"):
         assert info["speedup"] > 1.3, info
+
+
+def test_score_value_calls(benchmark, bench_columns, monkeypatch):
+    """Simulated model: concept-detector calls with each context value scored
+    once per label set and memoized, vs. every distinct concept of the set
+    scored over every non-blank value of every prompt (the per-prompt cost
+    before the value memo).
+
+    Both are counts, so the ratio holds on any machine and CI gates it.  It
+    falls with the workload's scale, as values recur across more columns.
+    """
+    prompts, _ = _sotab_prompts(bench_columns)
+    per_prompt_calls = 0
+    for prompt in prompts:
+        parsed = parse_prompt(prompt)
+        resolved = (DEFAULT_RESOLVER.resolve(label).concept for label in parsed.options)
+        n_concepts = len({id(concept) for concept in resolved if concept is not None})
+        n_values = sum(1 for value in parsed.context_values if value.strip())
+        per_prompt_calls += n_values * n_concepts
+
+    calls = 0
+    score_value = Concept.score_value
+
+    def counted(concept: Concept, value: str) -> float:
+        nonlocal calls
+        calls += 1
+        return score_value(concept, value)
+
+    monkeypatch.setattr(Concept, "score_value", counted)
+
+    def measure() -> dict[str, float]:
+        nonlocal calls
+        calls = 0
+        SimulatedLLM("gpt").generate_batch(prompts)  # a fresh, empty memo
+        return {
+            "n_prompts": len(prompts),
+            "score_value_calls": calls,
+            "per_prompt_score_value_calls": per_prompt_calls,
+            "ratio": calls / per_prompt_calls,
+        }
+
+    info = run_once(benchmark, measure)
+    benchmark.extra_info.update(info)
+    record_bench_result("hot_loop_score_value_calls", **info)
+
+    assert 0 < info["score_value_calls"] < per_prompt_calls, info

@@ -41,7 +41,6 @@ import time
 import uuid
 from abc import ABC, abstractmethod
 from contextlib import suppress
-from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -63,8 +62,11 @@ def params_key(params: GenerationParams) -> str:
 
     Key order is fixed and separators are compact so the same parameters
     always encode to the same string across processes and Python versions.
+    The fields are flat scalars, so the instance dict encodes exactly as
+    ``dataclasses.asdict`` does, without its recursive copy.  Not memoized:
+    equal parameters can encode differently (``0.0 == -0.0``, ``True == 1``).
     """
-    return json.dumps(asdict(params), sort_keys=True, separators=(",", ":"))
+    return json.dumps(vars(params), sort_keys=True, separators=(",", ":"))
 
 
 class ResponseStore(ABC):

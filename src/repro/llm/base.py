@@ -125,7 +125,7 @@ class LanguageModel(ABC):
         function of ``(prompt, params)`` with no mutable inference-time state
         — true of every bundled backend (:class:`repro.llm.simulated.
         SimulatedLLM` builds a fresh RNG per call, and its only state is a
-        memo of pure per-label-set values; :class:`repro.llm.finetune.
+        memo of pure per-label-set and per-value scores; :class:`repro.llm.finetune.
         FineTunedLLM` only reads its prototypes after ``fit``).  A backend
         wrapping a stateful resource (an HTTP session, a local inference
         context) must override this to return an independent copy.

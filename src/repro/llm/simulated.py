@@ -18,16 +18,20 @@ retries (which permute the generation parameters) still obtain different
 completions.
 
 Thread safety: every :meth:`SimulatedLLM.generate` call builds its own RNG
-and parse.  The one thing the model keeps between calls is a bounded memo of
-per-label-set values (resolved concepts, class adjustments, position
-jitter), which are pure functions of (profile, resolver, label set): an
-entry is built in full and published with one dict store, so threads racing
-on the same label set only recompute identical values.  The default
+and parse.  What the model keeps between calls is a bounded memo of label
+sets (resolved concepts, class adjustments, position jitter), each entry
+holding a bounded memo of context values (a value's scores under the set's
+concepts).  Both hold pure functions of their key, (profile, resolver,
+label set) and (label set, value): an entry or a row is built in full and
+published with one dict store, and a memo that is full is cleared before
+the store.  So threads racing on a key only recompute identical values, and
+a race can at most let a memo overshoot its bound by one entry per thread
+until the next clear.  The default
 :meth:`repro.llm.base.LanguageModel.clone_for_worker` (returning ``self``) is
-therefore sound and concurrent fan-out may share one instance.  The memo is
-left out of the pickled state, so a model pickles to the same bytes before
-and after use (the process executor reuses its pool only while those bytes
-are equal).
+therefore sound and concurrent fan-out may share one instance.  Both memos
+are left out of the pickled state, so a model pickles to the same bytes
+before and after use (the process executor reuses its pool only while those
+bytes are equal).
 """
 
 from __future__ import annotations
@@ -84,28 +88,48 @@ class OptionScore:
     total: float
 
 
-class _OptionInvariants(NamedTuple):
-    """Everything about one candidate label that does not depend on the prompt."""
+class _LabelSet(NamedTuple):
+    """One label set's scoring invariants, for a given profile and resolver.
 
-    label: str
-    concept_name: str | None
-    #: Index into :attr:`_LabelSetInvariants.concepts`, None when unresolved.
-    concept_slot: int | None
-    #: ``0.55 + 0.45 * specificity``, the evidence weight of the concept.
-    specificity_factor: float
-    match_quality: float
-    #: The label's distinctive tokens, matched against the context.
-    lexical_tokens: tuple[str, ...]
-    adjustment: float
-    position_jitter: float
+    Per-option values are arrays in option order, so a prompt scores every
+    option with a few array operations.
+    """
 
-
-class _LabelSetInvariants(NamedTuple):
-    """One label set's scoring invariants, for a given profile and resolver."""
-
-    #: The distinct concepts behind the labels, each scored once per prompt.
+    labels: tuple[str, ...]
+    concept_names: tuple[str | None, ...]
+    #: The distinct concepts behind the labels, each scored once per value.
     concepts: tuple[Concept, ...]
-    options: tuple[_OptionInvariants, ...]
+    #: Per option, its concept's index into the prompt's concept scores;
+    #: -1, a trailing 0.0, for unresolved labels.
+    concept_slots: np.ndarray
+    #: ``0.55 + 0.45 * specificity`` per option, 0.0 when unresolved.
+    specificity_factors: np.ndarray
+    match_qualities: np.ndarray
+    adjustments: np.ndarray
+    position_jitters: np.ndarray
+    #: The distinct distinctive tokens of all labels, each matched against
+    #: the context once per prompt.
+    tokens: tuple[str, ...]
+    #: Per (option, distinctive token) pair: the option's index and the
+    #: token's index into ``tokens``.
+    token_options: np.ndarray
+    token_ids: np.ndarray
+    #: Per option, its number of distinctive tokens (at least 1, so a label
+    #: without any scores no hits out of one).
+    token_counts: np.ndarray
+    #: Context value -> its scores under ``concepts``, filled as prompts
+    #: arrive and cleared when it reaches ``_VALUE_MEMO_LIMIT`` rows.
+    value_rows: dict[str, tuple[float, ...]]
+
+
+class _Scores(NamedTuple):
+    """Every option's score components for one prompt, in option order."""
+
+    label_set: _LabelSet
+    evidence: np.ndarray
+    lexical: np.ndarray
+    noise: np.ndarray
+    total: np.ndarray
 
 
 class SimulatedLLM(LanguageModel):
@@ -115,6 +139,11 @@ class SimulatedLLM(LanguageModel):
     #: full.  An annotation run prompts with few distinct label sets, so the
     #: bound only matters for sweeps over many label sets.
     _LABEL_SET_MEMO_LIMIT = 256
+    #: Context values whose concept scores each label set keeps; its memo is
+    #: cleared when full.  Values recur across columns (placeholders,
+    #: categories) and across the resample retries of one column.  A sweep
+    #: over many label sets holds at most the product of the two bounds.
+    _VALUE_MEMO_LIMIT = 1024
 
     def __init__(
         self,
@@ -139,7 +168,7 @@ class SimulatedLLM(LanguageModel):
         #: benchmarks opt in to measure scheduling policies under the
         #: latency the real backends impose.  Completions are unaffected.
         self.latency = float(latency)
-        self._label_sets: dict[tuple[str, ...], _LabelSetInvariants] = {}
+        self._label_sets: dict[tuple[str, ...], _LabelSet] = {}
 
     def __getstate__(self) -> dict[str, Any]:
         # The memo is derived data (and holds concept scorers, which are
@@ -181,7 +210,7 @@ class SimulatedLLM(LanguageModel):
                 count += 1
         return count
 
-    def _label_set(self, options: tuple[str, ...]) -> _LabelSetInvariants:
+    def _label_set(self, options: tuple[str, ...]) -> _LabelSet:
         """The scoring invariants of ``options``, memoized per label set."""
         cached = self._label_sets.get(options)
         if cached is not None:
@@ -189,12 +218,21 @@ class SimulatedLLM(LanguageModel):
         profile = self.profile
         slots: dict[int, int] = {}  # id(concept) -> index into ``concepts``
         concepts: list[Concept] = []
-        built: list[_OptionInvariants] = []
+        concept_names: list[str | None] = []
+        concept_slots: list[int] = []
+        specificity_factors: list[float] = []
+        match_qualities: list[float] = []
+        adjustments: list[float] = []
+        position_jitters: list[float] = []
+        token_index: dict[str, int] = {}  # token -> index into ``tokens``
+        token_options: list[int] = []
+        token_ids: list[int] = []
+        token_counts: list[int] = []
         for index, label in enumerate(options):
             resolved = self.resolver.resolve(label)
             concept = resolved.concept
             concept_name = None
-            slot = None
+            slot = -1
             specificity_factor = 0.0
             adjustment = 0.0
             if concept is not None:
@@ -206,31 +244,75 @@ class SimulatedLLM(LanguageModel):
                 specificity_factor = 0.55 + 0.45 * specificity
                 adjustment += profile.class_adjustments.get(concept_name, 0.0)
             adjustment += profile.class_adjustments.get(label.strip().lower(), 0.0)
+            concept_names.append(concept_name)
+            concept_slots.append(slot)
+            specificity_factors.append(specificity_factor)
+            match_qualities.append(resolved.match_quality)
+            adjustments.append(adjustment)
             # Deterministic label-position sensitivity (Appendix C): the same
             # label at a different position receives a slightly different
             # prior, which is the functional equivalent of label noise.
-            position_jitter = (
-                (_stable_seed(profile.name, label, index) % 1000) / 1000.0 - 0.5
-            ) * 0.05
-            built.append(_OptionInvariants(
-                label=label,
-                concept_name=concept_name,
-                concept_slot=slot,
-                specificity_factor=specificity_factor,
-                match_quality=resolved.match_quality,
-                lexical_tokens=tuple(
-                    t for t in label_tokens(label)
-                    if len(t) > 3 and t not in _GENERIC_TOKENS
-                ),
-                adjustment=adjustment,
-                position_jitter=position_jitter,
-            ))
-        entry = _LabelSetInvariants(concepts=tuple(concepts), options=tuple(built))
+            position_jitters.append(
+                ((_stable_seed(profile.name, label, index) % 1000) / 1000.0 - 0.5)
+                * 0.05
+            )
+            lexical_tokens = [
+                t for t in label_tokens(label)
+                if len(t) > 3 and t not in _GENERIC_TOKENS
+            ]
+            for token in lexical_tokens:
+                token_options.append(index)
+                token_ids.append(token_index.setdefault(token, len(token_index)))
+            token_counts.append(max(len(lexical_tokens), 1))
+        entry = _LabelSet(
+            labels=options,
+            concept_names=tuple(concept_names),
+            concepts=tuple(concepts),
+            concept_slots=np.array(concept_slots, dtype=np.intp),
+            specificity_factors=np.array(specificity_factors, dtype=np.float64),
+            match_qualities=np.array(match_qualities, dtype=np.float64),
+            adjustments=np.array(adjustments, dtype=np.float64),
+            position_jitters=np.array(position_jitters, dtype=np.float64),
+            tokens=tuple(token_index),
+            token_options=np.array(token_options, dtype=np.intp),
+            token_ids=np.array(token_ids, dtype=np.intp),
+            token_counts=np.array(token_counts, dtype=np.float64),
+            value_rows={},
+        )
         memo = self._label_sets
         if len(memo) >= self._LABEL_SET_MEMO_LIMIT:
             memo.clear()
         memo[options] = entry
         return entry
+
+    def _concept_scores(
+        self, label_set: _LabelSet, values: Sequence[str]
+    ) -> list[float]:
+        """Each concept's mean score over the non-blank ``values``, plus a
+        trailing 0.0 for unresolved labels.
+
+        Each value is scored once under all of the set's concepts (a row,
+        memoized per label set), and a concept's score sums its column of
+        rows in value order: the same floats added in the same order as
+        :func:`repro.llm.knowledge.score_concept`.
+        """
+        usable = [v for v in values if v.strip()]
+        if not usable:
+            return [0.0] * (len(label_set.concepts) + 1)
+        rows = label_set.value_rows
+        matrix: list[tuple[float, ...]] = []
+        for value in usable:
+            row = rows.get(value)
+            if row is None:
+                row = tuple([c.score_value(value) for c in label_set.concepts])
+                if len(rows) >= self._VALUE_MEMO_LIMIT:
+                    rows.clear()
+                rows[value] = row
+            matrix.append(row)
+        n_usable = len(usable)
+        scores = [sum(column) / n_usable for column in zip(*matrix)]
+        scores.append(0.0)
+        return scores
 
     def _noise_scale(
         self,
@@ -248,54 +330,74 @@ class SimulatedLLM(LanguageModel):
         return (profile.knowledge_noise * label_factor * clutter_factor
                 * temperature_factor * sample_factor)
 
-    def score_options(
+    def _score(
         self,
         parsed: ParsedPrompt,
         params: GenerationParams,
         rng: np.random.Generator,
-    ) -> list[OptionScore]:
-        """Score every candidate label against the parsed context.
+    ) -> _Scores:
+        """Score every candidate label against the parsed context at once.
 
         Per label, evidence is the resolved concept's score over the context
         weighted by specificity and match quality, and lexical is the share
-        of the label's distinctive tokens found in the context.  The label
-        set's invariants come from :meth:`_label_set`; per prompt, each
-        distinct concept is scored once and the noise of every option is
-        drawn in one call (the same floats, in label order, as one draw per
-        label).
+        of the label's distinctive tokens found in the context.  Every
+        component is an array in option order, computed with the same
+        floating-point operations, in the same order, as one label at a time;
+        the noise of every option is drawn in one call (the same floats, in
+        label order, as one draw per label).
         """
         profile = self.profile
         skill = max(0.05, profile.base_skill + profile.style_modifier(parsed.style_letter))
         noise_scale = self._noise_scale(parsed, params, len(parsed.options))
         values = parsed.context_values
         label_set = self._label_set(parsed.options)
-        raw_scores = [score_concept(concept, values) for concept in label_set.concepts]
+        n_options = len(label_set.labels)
+        concept_scores = np.array(self._concept_scores(label_set, values))
+        evidence = (concept_scores[label_set.concept_slots]
+                    * label_set.specificity_factors * label_set.match_qualities)
         haystack = " ".join(values).lower()
-        lexical_weight = profile.lexical_affinity_weight
-        noises = rng.normal(0.0, noise_scale, size=len(label_set.options)).tolist()
-        scores: list[OptionScore] = []
-        for option, noise in zip(label_set.options, noises):
-            evidence = 0.0
-            if option.concept_slot is not None:
-                evidence = (raw_scores[option.concept_slot] * option.specificity_factor
-                            * option.match_quality)
-            tokens = option.lexical_tokens
-            affinity = sum(1 for t in tokens if t in haystack) / len(tokens) if tokens else 0.0
-            lexical = affinity * lexical_weight
-            total = (skill * (evidence + lexical) + option.adjustment
-                     + option.position_jitter + noise)
-            scores.append(
-                OptionScore(
-                    label=option.label,
-                    concept_name=option.concept_name,
-                    evidence=evidence,
-                    lexical=lexical,
-                    adjustment=option.adjustment,
-                    noise=noise,
-                    total=total,
-                )
+        hits = np.array([t in haystack for t in label_set.tokens], dtype=np.float64)
+        hit_counts = np.bincount(
+            label_set.token_options,
+            weights=hits[label_set.token_ids],
+            minlength=n_options,
+        )
+        lexical = hit_counts / label_set.token_counts * profile.lexical_affinity_weight
+        noise = rng.normal(0.0, noise_scale, size=n_options)
+        total = (skill * (evidence + lexical) + label_set.adjustments
+                 + label_set.position_jitters + noise)
+        return _Scores(label_set, evidence, lexical, noise, total)
+
+    def score_options(
+        self,
+        parsed: ParsedPrompt,
+        params: GenerationParams,
+        rng: np.random.Generator,
+    ) -> list[OptionScore]:
+        """Score every candidate label against the parsed context (see
+        :meth:`_score`), one :class:`OptionScore` per label in option order."""
+        scores = self._score(parsed, params, rng)
+        label_set = scores.label_set
+        return [
+            OptionScore(
+                label=label,
+                concept_name=concept_name,
+                evidence=evidence,
+                lexical=lexical,
+                adjustment=adjustment,
+                noise=noise,
+                total=total,
             )
-        return scores
+            for label, concept_name, evidence, lexical, adjustment, noise, total in zip(
+                label_set.labels,
+                label_set.concept_names,
+                scores.evidence.tolist(),
+                scores.lexical.tolist(),
+                label_set.adjustments.tolist(),
+                scores.noise.tolist(),
+                scores.total.tolist(),
+            )
+        ]
 
     # ----------------------------------------------------------- generation
     def _best_concept_guess(self, parsed: ParsedPrompt) -> str:
@@ -313,22 +415,24 @@ class SimulatedLLM(LanguageModel):
     def _free_form_answer(
         self,
         parsed: ParsedPrompt,
-        winner: OptionScore | None,
+        label: str,
+        concept_name: str | None,
         rng: np.random.Generator,
     ) -> str:
-        """Produce an out-of-label answer of the kinds the paper describes."""
+        """Produce an out-of-label answer of the kinds the paper describes,
+        given the winning ``label`` and its concept."""
         roll = rng.random()
-        if winner is not None and roll < 0.45:
+        if roll < 0.45:
             # Near-miss: the model describes the concept rather than naming the
             # label.  Similarity remapping can usually recover this.
-            concept = CONCEPTS.get(winner.concept_name or "")
+            concept = CONCEPTS.get(concept_name or "")
             if concept is not None and concept.description:
                 return concept.description
-            return f"a column of {winner.label} values"
-        if winner is not None and roll < 0.75:
+            return f"a column of {label} values"
+        if roll < 0.75:
             # Verbose phrasing that still contains the label: remap-contains
             # recovers this.
-            return f"The column appears to contain {winner.label} entries"
+            return f"The column appears to contain {label} entries"
         if parsed.context_values and roll < 0.9:
             # Parroting back part of the input (Section 3.2 notes this failure).
             return parsed.context_values[int(rng.integers(0, len(parsed.context_values)))]
@@ -385,16 +489,21 @@ class SimulatedLLM(LanguageModel):
                 return f"This looks like a {guess} column"
             return guess
 
-        scores = self.score_options(parsed, params, rng)
-        ordered = sorted(scores, key=lambda s: s.total, reverse=True)
-        winner = ordered[0]
+        scores = self._score(parsed, params, rng)
+        # The first maximal total wins: what a stable descending sort of the
+        # options by total would put first.
+        winner = int(scores.total.argmax())
+        label = scores.label_set.labels[winner]
 
         # Out-of-label answers become more likely the less separable the
         # candidate labels are.  Ambiguity is measured on the noise-free
         # evidence (what the column actually supports), not on the sampled
         # totals, so easy benchmarks keep a low remap rate (Table 7).
-        clean = sorted((s.total - s.noise for s in scores), reverse=True)
-        clean_margin = clean[0] - clean[1] if len(clean) > 1 else 1.0
+        clean = scores.total - scores.noise
+        clean_margin = 1.0
+        if len(clean) > 1:
+            second, first = np.partition(clean, -2)[-2:].tolist()
+            clean_margin = first - second
         out_of_label = self.profile.out_of_label_rate
         if clean_margin < 0.05:
             out_of_label *= 3.5
@@ -403,10 +512,12 @@ class SimulatedLLM(LanguageModel):
         out_of_label = min(out_of_label, 0.9)
 
         if rng.random() < out_of_label:
-            return self._free_form_answer(parsed, winner, rng)
+            return self._free_form_answer(
+                parsed, label, scores.label_set.concept_names[winner], rng
+            )
         if rng.random() < self.profile.verbosity:
-            return f"{winner.label} (most likely)"
-        return winner.label
+            return f"{label} (most likely)"
+        return label
 
     # -------------------------------------------------------------- utility
     def explain(self, prompt: str, params: GenerationParams | None = None) -> list[OptionScore]:

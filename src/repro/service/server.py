@@ -43,6 +43,19 @@ _MAX_HEADER_LINE = 16 * 1024
 _MAX_HEADERS = 100
 
 
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    """One line of the request head, at most ``_MAX_HEADER_LINE`` bytes."""
+    try:
+        line = await reader.readline()
+    except ValueError:
+        # A line past the reader's buffer limit: readline turns the
+        # LimitOverrunError into ValueError and drops the buffered bytes.
+        raise ProtocolError(f"{what} too long") from None
+    if len(line) > _MAX_HEADER_LINE:
+        raise ProtocolError(f"{what} too long")
+    return line
+
+
 class AnnotationService:
     """One bound instance of the service: sockets + shared state."""
 
@@ -94,24 +107,20 @@ class AnnotationService:
     ) -> HTTPRequest | None:
         """Parse one request; ``None`` on a cleanly closed connection."""
         try:
-            line = await reader.readline()
-        except (ConnectionResetError, asyncio.LimitOverrunError):
+            line = await _read_line(reader, "request line")
+        except ConnectionResetError:
             return None
         if not line:
             return None
-        if len(line) > _MAX_HEADER_LINE:
-            raise ProtocolError("request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
             raise ProtocolError("malformed HTTP request line")
         method, target, _version = parts
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
-            raw = await reader.readline()
+            raw = await _read_line(reader, "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
-            if len(raw) > _MAX_HEADER_LINE:
-                raise ProtocolError("header line too long")
             name, sep, value = raw.decode("latin-1").partition(":")
             if not sep:
                 raise ProtocolError(f"malformed header line: {name.strip()!r}")

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.plan import AnnotationResult
 from repro.core.store import (
@@ -38,6 +41,27 @@ class TestParamsKey:
     def test_distinguishes_parameters(self):
         assert params_key(GenerationParams()) != params_key(
             GenerationParams(resample_index=1)
+        )
+
+    @given(
+        st.builds(
+            GenerationParams,
+            temperature=st.floats(),
+            top_p=st.floats(),
+            repetition_penalty=st.floats(),
+            seed=st.one_of(st.integers(), st.booleans()),
+            resample_index=st.integers(0, 10),
+        ),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_asdict_encoding(self, params, k):
+        # Keys already on disk were written with ``asdict``: a changed byte
+        # would turn every warm replay into model calls.  -0.0, NaN, bools and
+        # the permuted floats of resample retries must all encode the same.
+        permuted = params.permuted(k)
+        assert params_key(permuted) == json.dumps(
+            asdict(permuted), sort_keys=True, separators=(",", ":")
         )
 
 

@@ -164,6 +164,24 @@ class TestProtocolErrors:
             assert status == 413
             assert body["error"]["status"] == 413
 
+    # 70 000 bytes is past the stream reader's 64 KiB buffer limit as well as
+    # the server's own 16 KiB cap on a line of the request head.
+    def test_over_long_request_line_is_400(self):
+        with running_server() as server:
+            status, _, body = request_json(
+                server.port, "GET", "/healthz?pad=" + "a" * 70_000
+            )
+            assert status == 400
+            assert body["error"]["message"] == "request line too long"
+
+    def test_over_long_header_line_is_400(self):
+        with running_server() as server:
+            status, _, body = request_json(
+                server.port, "GET", "/healthz", headers={"X-Pad": "a" * 70_000}
+            )
+            assert status == 400
+            assert body["error"]["message"] == "header line too long"
+
     def test_empty_values_is_400(self):
         with running_server() as server:
             status, _, body = request_json(
