@@ -13,6 +13,9 @@ sampler and column set — and checks every promise on each draw.
 A store that fails its writes is one more arm of the draw.  Its declared
 outcome is a typed :class:`StoreError` with nothing left queued, and a run
 that does not finish within :data:`RUN_TIMEOUT_S` fails as a hang.
+
+Stateful backends (``query_cache_size=0``) get one more promise: every
+sequential entry point calls the model in the order of the loop.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from repro.core.executor import ProcessExecutor, get_executor
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
 from repro.core.remapping import list_remappers
 from repro.core.store import ResponseStore, SQLiteResponseStore
+from repro.core.table import Table
 from repro.datasets.registry import load_benchmark
+from repro.eval.runner import ExperimentRunner
 from repro.exceptions import StoreError
 from repro.llm.base import GenerationParams, LanguageModel
 
@@ -310,3 +315,72 @@ def test_every_configuration_keeps_the_contract(case: Case) -> None:
         _check_case(case, Path(directory))
     assert threading.active_count() == threads_before
 
+
+class CallOrderModel(LanguageModel):
+    """A stateful backend: whether an answer is in the label set depends on
+    how many calls came before it, so a reordered call changes the labels."""
+
+    name = "call-order"
+    context_window = 2048
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, int]] = []
+
+    def generate(self, prompt: str, params: GenerationParams | None = None) -> str:
+        self.calls.append((prompt, (params or GenerationParams()).resample_index))
+        return "no idea" if len(self.calls) % 4 else LABELS[len(self.calls) % 5]
+
+
+class TestStatefulCallOrder:
+    """With ``query_cache_size=0``, every sequential entry point calls the
+    model in the order of an ``annotate_column`` loop: a column's query,
+    then its resample retries, then the next column."""
+
+    BENCHMARK = load_benchmark("sotab-27", n_columns=12, seed=5)
+
+    def _run(self, drive: Callable[[ArcheType], list[str]]):
+        model = CallOrderModel()
+        annotator = ArcheType(ArcheTypeConfig(
+            model=model, label_set=LABELS, seed=0, query_cache_size=0,
+        ))
+        labels = drive(annotator)
+        return model.calls, labels
+
+    def test_sequential_entry_points_match_the_loop(self):
+        columns = [bc.column for bc in self.BENCHMARK.columns]
+        loop = self._run(lambda annotator: [
+            annotator.annotate_column(column).label for column in columns
+        ])
+        assert {index for _, index in loop[0]} == {0, 1, 2, 3}
+        drives = [
+            lambda annotator: annotator.annotate_columns(columns, batch_size=0),
+            lambda annotator: annotator.annotate_columns(
+                columns, executor="sequential"
+            ),
+            lambda annotator: list(annotator.annotate_stream(
+                iter(columns), executor="sequential"
+            )),
+        ]
+        for drive in drives:
+            assert self._run(
+                lambda annotator: [r.label for r in drive(annotator)]
+            ) == loop
+
+    def test_runner_batch_size_zero_matches_the_loop(self):
+        """The runner gives each column its own one-column table at index 0."""
+
+        def table(bench_column) -> Table | None:
+            if bench_column.table_name is None:
+                return None
+            return Table(columns=[bench_column.column], name=bench_column.table_name)
+
+        loop = self._run(lambda annotator: [
+            annotator.annotate_column(
+                bc.column, table=table(bc), column_index=0
+            ).label
+            for bc in self.BENCHMARK.columns
+        ])
+        runner = ExperimentRunner(batch_size=0)
+        assert self._run(lambda annotator: runner.evaluate(
+            annotator, self.BENCHMARK, "archetype"
+        ).predictions) == loop
