@@ -41,6 +41,9 @@ __all__ = ["AnnotationService", "BackgroundServer", "run"]
 
 _MAX_HEADER_LINE = 16 * 1024
 _MAX_HEADERS = 100
+#: Bounds on the input discarded after an error response, before the close.
+_LINGER_MAX_BYTES = 1024 * 1024
+_LINGER_MAX_SECONDS = 1.0
 
 
 async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
@@ -54,6 +57,28 @@ async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
     if len(line) > _MAX_HEADER_LINE:
         raise ProtocolError(f"{what} too long")
     return line
+
+
+async def _discard_input(reader: asyncio.StreamReader) -> None:
+    """Read and drop input until EOF or either linger bound is reached.
+
+    Closing a socket with request bytes still unread makes the kernel reset
+    the connection, and the reset can destroy the response before the client
+    has read it.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + _LINGER_MAX_SECONDS
+    discarded = 0
+    while discarded < _LINGER_MAX_BYTES:
+        try:
+            chunk = await asyncio.wait_for(
+                reader.read(64 * 1024), deadline - loop.time()
+            )
+        except asyncio.TimeoutError:
+            return
+        if not chunk:
+            return
+        discarded += len(chunk)
 
 
 class AnnotationService:
@@ -229,6 +254,12 @@ class AnnotationService:
                         error_response(exc.status, str(exc)),
                         keep_alive=False,
                     )
+                    # The rest of the request is never read: half-close, so
+                    # the client sees EOF after the response, then discard.
+                    # Best effort: the connection is ending either way.
+                    with contextlib.suppress(OSError):
+                        writer.write_eof()
+                        await _discard_input(reader)
                     return
                 except (
                     asyncio.IncompleteReadError,

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import socket
+import time
 
+import pytest
+
+import repro.service.server as server_module
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
 from repro.core.table import Column
 
@@ -192,3 +197,53 @@ class TestProtocolErrors:
             )
             assert status == 400
             assert "values" in body["error"]["message"]
+
+
+#: A request whose head fails on its second line, 70 000 bytes long.
+OVER_LONG_HEAD = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n"
+
+
+def more_header_lines(n_bytes: int) -> bytes:
+    line = b"X-More: " + b"b" * 990 + b"\r\n"
+    return line * (n_bytes // len(line))
+
+
+class TestLingeringClose:
+    """An error answered before the request was read in full still reaches
+    the client: the server half-closes and discards the rest, within bounds,
+    instead of closing into a connection reset."""
+
+    @pytest.mark.parametrize("extra", [100_000, 400_000])
+    def test_error_response_then_eof_with_request_bytes_unread(self, extra):
+        with running_server() as server, socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as client:
+            client.sendall(OVER_LONG_HEAD + more_header_lines(extra))
+            received = b""
+            while chunk := client.recv(65536):
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+        assert len(body) == length
+        assert json.loads(body)["error"]["message"] == "header line too long"
+
+    @pytest.mark.parametrize("bound", ["bytes", "seconds"])
+    def test_client_that_never_stops_sending_is_cut_off(self, monkeypatch, bound):
+        # Lift the other bound, so only the one under test can end the linger.
+        if bound == "bytes":
+            monkeypatch.setattr(server_module, "_LINGER_MAX_SECONDS", 60.0)
+            pause = 0.0
+        else:
+            monkeypatch.setattr(server_module, "_LINGER_MAX_BYTES", 1 << 40)
+            pause = 0.01
+        with running_server() as server, socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as client:
+            client.sendall(OVER_LONG_HEAD)
+            started = time.monotonic()
+            with pytest.raises((BrokenPipeError, ConnectionResetError)):
+                while time.monotonic() - started < 10:
+                    client.sendall(more_header_lines(16_000))
+                    time.sleep(pause)
+            assert time.monotonic() - started < 10
