@@ -15,8 +15,8 @@ Submodules map one-to-one onto the stages in Figure 1 of the paper:
 * :mod:`repro.core.rules` — rule-based label remapping (the "+" variants).
 * :mod:`repro.core.plan` — the logical half of annotation: per-column
   ``ColumnPlan`` building plus per-stage instrumentation.
-* :mod:`repro.core.executor` — the physical half: sequential, batched,
-  concurrent and process plan executors.
+* :mod:`repro.core.executor` — the physical half: batched (sequential is
+  a batch of one), concurrent and process plan executors.
 * :mod:`repro.core.store` — the durability layer: the persistent SQLite
   ``(prompt, params) → response`` store and per-run checkpoint manifests.
 * :mod:`repro.core.pipeline` — the end-to-end ``ArcheType`` annotator.
@@ -26,7 +26,6 @@ from repro.core.executor import (
     BatchedExecutor,
     ConcurrentExecutor,
     Executor,
-    SequentialExecutor,
     get_executor,
 )
 from repro.core.pipeline import AnnotationResult, ArcheType, ArcheTypeConfig
@@ -71,7 +70,6 @@ __all__ = [
     "RunManifest",
     "SQLiteResponseStore",
     "SchedulerStats",
-    "SequentialExecutor",
     "SimpleRandomSampler",
     "Table",
     "get_executor",

@@ -7,13 +7,13 @@ the executors own no threading, batching or dedup of their own — the
 that — so each executor is just a **submission policy**: how many plans it
 submits to the scheduler before awaiting any of them.
 
-* :class:`SequentialExecutor` — submit one, await one: a query/remap
-  round-trip per pending plan, bit-identical to the historical
-  column-at-a-time loop (and the only policy valid for ``cache_size=0``
-  stateful backends, whose answers depend on call order);
 * :class:`BatchedExecutor` — submit a chunk, await the chunk
   (:meth:`repro.core.querying.QueryEngine.query_batch`): the scheduler
-  drains each chunk as one cross-prompt ``generate_batch`` call;
+  drains each chunk as one cross-prompt ``generate_batch`` call.  With a
+  chunk of one it is the ``"sequential"`` policy: each plan is queried and
+  remapped before the next starts, bit-identical to the historical
+  column-at-a-time loop (and the only policy valid for ``cache_size=0``
+  stateful backends, whose answers depend on call order);
 * :class:`ConcurrentExecutor` — submit from several threads at once
   (:meth:`QueryEngine.query_batch_fanout`): each thread becomes a drain
   leader, so multiple ``generate_batch`` calls run in parallel on pooled
@@ -38,7 +38,6 @@ policies remap on the main thread through the main engine; in the process
 policy each worker remaps its own contiguous chunk with a deterministic
 engine copy.  Each plan sees the same retries either way, which preserves
 the same bit-identical labels; only the grouping of model calls changes.
-The sequential policy remaps one plan at a time, right after its query.
 """
 
 from __future__ import annotations
@@ -92,22 +91,6 @@ def _split_pending(
         else:
             pending.append(plan)
     return produced, pending
-
-
-def execute_plan(
-    plan: ColumnPlan,
-    engine: QueryEngine,
-    remapper: Remapper,
-    stats: PipelineStats,
-) -> AnnotationResult:
-    """Run the execution stages (query + remap) for one plan."""
-    if plan.result is not None:
-        return plan.result
-    prompt = plan.prompt
-    assert prompt is not None  # ColumnPlan invariant
-    with _attributed_hits(engine, stats, STAGE_QUERY), stats.timed(STAGE_QUERY):
-        response = engine.query(prompt.text)
-    return _remap_plans([plan], [response], engine, remapper, stats)[0]
 
 
 def _remap_plans(
@@ -170,8 +153,6 @@ def _assemble(
 class Executor(ABC):
     """Strategy for carrying out the execution stages over a set of plans."""
 
-    name: str = "base"
-
     @abstractmethod
     def execute(
         self,
@@ -181,31 +162,6 @@ class Executor(ABC):
         stats: PipelineStats,
     ) -> list[AnnotationResult]:
         """Return one result per plan, ordered by plan position."""
-
-
-class SequentialExecutor(Executor):
-    """Submission policy: submit one plan, await it, then the next.
-
-    Bit-identical to the historical column-at-a-time loop, and the only
-    policy that preserves call-order semantics for ``cache_size=0``
-    stateful backends: each plan is queried, then remapped (its retries
-    one model call each), before the next plan starts.
-    """
-
-    name = "sequential"
-
-    def execute(
-        self,
-        plans: Sequence[ColumnPlan],
-        engine: QueryEngine,
-        remapper: Remapper,
-        stats: PipelineStats,
-    ) -> list[AnnotationResult]:
-        produced = {
-            plan.position: execute_plan(plan, engine, remapper, stats)
-            for plan in plans
-        }
-        return _assemble(plans, produced)
 
 
 @dataclass
@@ -218,10 +174,13 @@ class BatchedExecutor(Executor):
     and drains each chunk as one ``generate_batch`` call.  Each chunk is
     then remapped at once: its resample retries go out as one model batch
     per attempt.
+
+    ``batch_size=1`` is the ``"sequential"`` policy: each plan is queried,
+    then remapped (its retries one model call each), before the next plan
+    starts — the call order ``cache_size=0`` stateful backends depend on.
     """
 
     batch_size: int | None = None
-    name = "batched"
 
     def __post_init__(self) -> None:
         if self.batch_size is not None and self.batch_size <= 0:
@@ -272,7 +231,6 @@ class ConcurrentExecutor(Executor):
 
     workers: int = 4
     chunk_size: int | None = None
-    name = "concurrent"
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -382,9 +340,9 @@ class ProcessExecutor(Executor):
     own connection to the shared SQLite-WAL response store.  Each worker
     queries its chunk as one batch and remaps it at once (resample retries
     in one batch per attempt, as in :class:`BatchedExecutor`); the parent merges
-    results by position, so labels are bit-identical to
-    :class:`SequentialExecutor` for the pure bundled backends (planning —
-    the only RNG consumer — already happened in the parent).
+    results by position, so labels are bit-identical to the sequential
+    policy for the pure bundled backends (planning — the only RNG
+    consumer — already happened in the parent).
 
     Accounting stays whole-run truthful: workers ship back per-stage
     :class:`PipelineStats` snapshots (merged into the caller's stats; note
@@ -408,7 +366,6 @@ class ProcessExecutor(Executor):
 
     workers: int = 4
     chunk_size: int | None = None
-    name = "process"
 
     _pool: ProcessPoolExecutor | None = field(
         default=None, init=False, repr=False, compare=False
@@ -573,7 +530,7 @@ def get_executor(
                 f"batch_size={batch_size} has no effect with the sequential "
                 "executor"
             )
-        return SequentialExecutor()
+        return BatchedExecutor(batch_size=1)
     if key == "batched":
         return BatchedExecutor(batch_size=batch_size)
     raise ConfigurationError(
@@ -617,5 +574,5 @@ def resolve_executor(
             f"executor must be an Executor, a name, or None; got {executor!r}"
         )
     if batch_size == 0:
-        return SequentialExecutor()
+        return BatchedExecutor(batch_size=1)
     return BatchedExecutor(batch_size=batch_size or None)

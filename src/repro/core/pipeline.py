@@ -16,7 +16,8 @@ Since the plan/execute refactor the stages live in exactly two places:
 
 Every public entry point is a thin wrapper over that split:
 
-* :meth:`ArcheType.annotate_column` — plan one column, execute sequentially;
+* :meth:`ArcheType.annotate_column` — plan one column, execute it as a
+  batch of one;
 * :meth:`ArcheType.annotate_columns` — plan a column set in order, execute
   with the selected executor (``batch_size=0`` keeps the historical
   column-at-a-time escape hatch for stateful models);
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.executor import Executor, execute_plan, resolve_executor
+from repro.core.executor import BatchedExecutor, Executor, resolve_executor
 from repro.core.features import FeatureConfig
 from repro.core.plan import AnnotationResult, ColumnPlan, ColumnPlanner, PipelineStats
 from repro.core.querying import QueryEngine
@@ -257,7 +258,9 @@ class ArcheType:
     ) -> AnnotationResult:
         """Annotate one column with a label from the configured label set."""
         plan = self.plan_column(column, table=table, column_index=column_index)
-        return execute_plan(plan, self.engine, self.remapper, self.stats)
+        return BatchedExecutor(batch_size=1).execute(
+            [plan], self.engine, self.remapper, self.stats
+        )[0]
 
     def annotate_columns(
         self,

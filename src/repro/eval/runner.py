@@ -11,14 +11,14 @@ Annotators that expose the plan/execute pipeline's streaming API
 (``annotate_stream``) are driven chunk-at-a-time: the runner consumes results
 as each chunk completes, so evaluation memory stays O(chunk) in annotation
 state regardless of split size (predictions/truth are O(split), as the
-metrics require).  Annotators exposing only ``annotate_columns`` are driven
-set-at-a-time, and plain ``annotate_column`` objects column-at-a-time.  All
-three drives produce bit-identical predictions for the bundled annotators.
+metrics require).  Any other annotator (the baselines) is driven
+column-at-a-time through ``annotate_column``.  Both drives produce
+bit-identical predictions for the bundled annotators.
 
 ``executor`` / ``workers`` select the physical execution strategy
-(sequential, batched, concurrent) for pipeline annotators, and per-stage
-:class:`repro.core.plan.PipelineStats` plus engine counters are captured into
-the result when the annotator exposes them.
+(sequential, batched, concurrent, process) for pipeline annotators, and
+per-stage :class:`repro.core.plan.PipelineStats` plus engine counters are
+captured into the result when the annotator exposes them.
 """
 
 from __future__ import annotations
@@ -47,21 +47,6 @@ class ColumnAnnotator(Protocol):
         table: Table | None = None,
         column_index: int | None = None,
     ) -> AnnotationResult:
-        ...  # pragma: no cover - protocol definition
-
-
-@runtime_checkable
-class BatchColumnAnnotator(Protocol):
-    """Anything that can annotate a set of columns in one call."""
-
-    def annotate_columns(
-        self,
-        columns: Sequence[Column],
-        table: Table | None = None,
-        column_indices: Sequence[int | None] | None = None,
-        tables: Sequence[Table | None] | None = None,
-        batch_size: int | None = None,
-    ) -> list[AnnotationResult]:
         ...  # pragma: no cover - protocol definition
 
 
@@ -215,11 +200,10 @@ class RunnerTotals:
 class ExperimentRunner:
     """Evaluate annotators over benchmarks.
 
-    * ``batch_size`` — columns per ``annotate_columns`` call / stream chunk
-      for batch-capable annotators (``0`` = force the sequential
-      column-at-a-time loop; ``None`` = the annotator's default — the whole
-      split at once for plain batch annotators, 64-column chunks for
-      streaming-capable ones, which changes scheduling but never labels);
+    * ``batch_size`` — stream chunk for streaming-capable annotators (``0``
+      = one column at a time through the sequential executor, the
+      stateful-model escape hatch; ``None`` = 64-column chunks), which
+      changes scheduling but never labels;
     * ``executor`` / ``workers`` — physical execution strategy for pipeline
       annotators (an :class:`repro.core.executor.Executor`, a name among
       ``sequential``/``batched``/``concurrent``/``process``, or ``None``
@@ -484,19 +468,16 @@ class ExperimentRunner:
         columns: Sequence[BenchmarkColumn],
         manifest: RunManifest | None = None,
     ) -> Iterator[AnnotationResult]:
-        """Choose the richest drive the annotator supports.
+        """Stream a streaming-capable annotator, else go column by column.
 
-        ``annotate_columns`` itself honours ``batch_size=0`` by falling back
-        to the per-column loop, so batch-capable annotators always take a
-        batched drive; streaming-capable ones are consumed lazily so only one
-        chunk of annotation state is alive at a time.  Run checkpointing
-        (``manifest``) is a streaming-drive feature; for the other drives it
-        is ``None`` by construction.
+        Streaming-capable annotators are consumed lazily, so only one chunk
+        of annotation state is alive at a time; any other annotator (the
+        baselines) gets one ``annotate_column`` call per column.  Run
+        checkpointing (``manifest``) is a streaming-drive feature; for the
+        per-column drive it is ``None`` by construction.
         """
         if isinstance(annotator, StreamingColumnAnnotator):
             return self._annotate_streaming(annotator, columns, manifest)
-        if isinstance(annotator, BatchColumnAnnotator):
-            return iter(self._annotate_batched(annotator, columns))
         return self._annotate_sequential(annotator, columns)
 
     def _annotate_sequential(
@@ -549,30 +530,6 @@ class ExperimentRunner:
             column_indices=(0 for _ in columns),
             chunk_size=chunk_size,
             **kwargs,
-        )
-
-    def _annotate_batched(
-        self,
-        annotator: BatchColumnAnnotator,
-        columns: Sequence[BenchmarkColumn],
-    ) -> list[AnnotationResult]:
-        """Drive a batch-capable (but non-streaming) annotator set-at-a-time.
-
-        ``executor``/``workers`` are forwarded when configured — an annotator
-        whose ``annotate_columns`` cannot accept them fails loudly rather
-        than silently running with a different strategy than requested.
-        """
-        kwargs: dict[str, object] = {}
-        if self.executor is not None:
-            kwargs["executor"] = self.executor
-        if self.workers is not None:
-            kwargs["workers"] = self.workers
-        return annotator.annotate_columns(
-            [bench_column.column for bench_column in columns],
-            tables=[self._column_table(bench_column) for bench_column in columns],
-            column_indices=[0] * len(columns),
-            batch_size=self.batch_size,
-            **kwargs,  # type: ignore[arg-type]
         )
 
     def evaluate_predictions_only(

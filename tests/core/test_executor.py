@@ -20,7 +20,6 @@ from repro.core.executor import (
     BatchedExecutor,
     ConcurrentExecutor,
     ProcessExecutor,
-    SequentialExecutor,
     get_executor,
     resolve_executor,
 )
@@ -194,7 +193,7 @@ class TestExecutorEdgeCases:
 
 class TestExecutorResolution:
     def test_get_executor_names(self):
-        assert isinstance(get_executor("sequential"), SequentialExecutor)
+        assert get_executor("sequential") == BatchedExecutor(batch_size=1)
         assert isinstance(get_executor("batched", batch_size=5), BatchedExecutor)
         concurrent = get_executor("concurrent", workers=8)
         assert isinstance(concurrent, ConcurrentExecutor)
@@ -215,11 +214,11 @@ class TestExecutorResolution:
         with pytest.raises(ConfigurationError, match="executor instance"):
             resolve_executor(BatchedExecutor(batch_size=2), batch_size=5)
         # batch_size=0 with the sequential executor is consistent, not an error.
-        assert isinstance(get_executor("sequential", batch_size=0),
-                          SequentialExecutor)
+        assert get_executor("sequential", batch_size=0) == \
+            BatchedExecutor(batch_size=1)
 
     def test_resolve_defaults_preserve_batch_size_semantics(self):
-        assert isinstance(resolve_executor(None, batch_size=0), SequentialExecutor)
+        assert resolve_executor(None, batch_size=0) == BatchedExecutor(batch_size=1)
         batched = resolve_executor(None, batch_size=7)
         assert isinstance(batched, BatchedExecutor)
         assert batched.batch_size == 7
@@ -341,7 +340,7 @@ class TestProcessExecutor:
     accounting."""
 
     def test_process_matches_pre_refactor_golden(self):
-        """Acceptance: bit-identical labels to SequentialExecutor."""
+        """Acceptance: bit-identical labels to the sequential executor."""
         benchmark = _golden_benchmark()
         annotator = _golden_annotator(benchmark)
         results = annotator.annotate_columns(
@@ -572,7 +571,7 @@ class TestRemapWaves:
     K = 3  # ArcheTypeConfig.resample_k
 
     def test_sequential_issues_one_batch_per_query_and_per_retry(self):
-        _, annotator, results = _run_retry_workload(SequentialExecutor())
+        _, annotator, results = _run_retry_workload("sequential")
         budgets = [RetryBudgetModel.budget(r.prompt.text) for r in results]
         assert {0, 4} <= set(budgets)  # covers no retry and giving up after k
         assert annotator.engine.stats.n_batches == len(results) + sum(
@@ -582,7 +581,7 @@ class TestRemapWaves:
 
     @pytest.mark.parametrize("name", ["batched", "process"])
     def test_one_model_batch_per_resample_attempt(self, name):
-        _, reference, golden = _run_retry_workload(SequentialExecutor())
+        _, reference, golden = _run_retry_workload("sequential")
         if name == "process":
             with ProcessExecutor(workers=1) as executor:
                 model, annotator, results = _run_retry_workload(executor)
