@@ -1,16 +1,20 @@
-"""CI gate for the experiment suite: a warm replay must cost 0 model queries.
+"""CI gate for the experiment suite: warm replays and resumes cost 0 queries.
 
-Runs the whole registered suite twice against one persistent store under
-``--cache-dir``:
+Runs the whole registered suite three times against one persistent store
+under ``--cache-dir``:
 
 1. **cold** — pays every model call and fills the response store;
 2. **warm** — must complete every experiment with **zero** model queries and
-   produce bit-identical per-experiment metrics.
+   produce bit-identical per-experiment metrics;
+3. **resumed** — resumes the warm pass's suite run id, so every shard must
+   come back replayed from the suite journal (``cached``), with **zero**
+   model queries and the cold pass's metrics.
 
-Exits non-zero if any experiment fails, the warm pass touched the model, or
-any metric diverged between the passes.  ``results.json`` and ``REPORT.md``
-from each pass are left under ``<cache-dir>/cold/`` and ``<cache-dir>/warm/``
-so CI can upload them as artifacts.
+Exits non-zero if any experiment fails, the warm or resumed pass touched the
+model, a resumed shard re-ran, or any metric diverged from the cold pass.
+``results.json`` and ``REPORT.md`` from each pass are left under
+``<cache-dir>/cold/``, ``<cache-dir>/warm/`` and ``<cache-dir>/resumed/`` so
+CI can upload them as artifacts.
 
 Usage::
 
@@ -44,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     cache_dir = Path(args.cache_dir)
 
     passes = {}
-    for label in ("cold", "warm"):
+    for label in ("cold", "warm", "resumed"):
         print(f"=== {label} pass ===", flush=True)
         passes[label] = run_suite(
             SuiteOptions(
@@ -52,6 +56,7 @@ def main(argv: list[str] | None = None) -> int:
                 jobs=args.jobs,
                 seed=args.seed,
                 cache_dir=cache_dir,
+                resume=passes["warm"].suite_run_id if label == "resumed" else None,
                 output_dir=cache_dir / label,
             )
         )
@@ -64,32 +69,45 @@ def main(argv: list[str] | None = None) -> int:
                     f"{label}: {experiment.name} failed: "
                     f"{'; '.join(experiment.errors)}"
                 )
-    warm_queries = passes["warm"].totals["n_queries"]
-    if warm_queries != 0:
-        failures.append(
-            f"warm pass issued {warm_queries} model queries; the persistent "
-            "store should have answered everything"
-        )
     cold_metrics = {e.name: e.metrics for e in passes["cold"].experiments}
-    warm_metrics = {e.name: e.metrics for e in passes["warm"].experiments}
-    if cold_metrics != warm_metrics:
-        diverged = sorted(
-            name
-            for name in cold_metrics
-            if cold_metrics[name] != warm_metrics.get(name)
-        )
+    for label in ("warm", "resumed"):
+        queries = passes[label].totals["n_queries"]
+        if queries != 0:
+            failures.append(
+                f"{label} pass issued {queries} model queries; the persistent "
+                "store and the suite journal should have answered everything"
+            )
+        pass_metrics = {e.name: e.metrics for e in passes[label].experiments}
+        if cold_metrics != pass_metrics:
+            diverged = sorted(
+                name
+                for name in cold_metrics
+                if cold_metrics[name] != pass_metrics.get(name)
+            )
+            failures.append(
+                f"{label} metrics diverged from cold for: {', '.join(diverged)}"
+            )
+    rerun = [
+        f"{experiment.name}/{shard['shard']}"
+        for experiment in passes["resumed"].experiments
+        for shard in experiment.shards
+        if not shard["cached"]
+    ]
+    if rerun:
         failures.append(
-            f"warm metrics diverged from cold for: {', '.join(diverged)}"
+            f"resumed pass re-ran {len(rerun)} journalled shards: {', '.join(rerun)}"
         )
 
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
+    n_shards = sum(len(e.shards) for e in passes["resumed"].experiments)
     print(
         f"OK: warm suite replay issued 0 model queries "
         f"({passes['warm'].totals['n_store_hits']} store hits) and "
-        f"reproduced all {len(cold_metrics)} experiments bit-identically"
+        f"reproduced all {len(cold_metrics)} experiments bit-identically; "
+        f"the resume replayed all {n_shards} shards from the journal"
     )
     return 0
 

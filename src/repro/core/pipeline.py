@@ -349,7 +349,7 @@ class ArcheType:
         per-chunk execution strategy (default: batched).
 
         ``manifest`` enables run checkpointing (see :mod:`repro.core.store`):
-        each chunk's results are journaled as the chunk completes, keyed by
+        each chunk's results are committed as the chunk completes, keyed by
         global column position, and columns the manifest already holds are
         *not* re-executed — they are still planned (planning is what consumes
         the annotator's RNG stream, so skipping it would shift sampling for
@@ -417,34 +417,32 @@ class ArcheType:
         """Execute one stream chunk against a run manifest.
 
         Plans whose global position the manifest already holds are answered
-        from the journal; the rest are executed normally and journaled before
-        any result is yielded, so a consumer abandoning the stream mid-chunk
-        still leaves the whole chunk resumable.
+        from it; the rest are executed normally and committed as one chunk
+        before any result is yielded, so a consumer abandoning the stream
+        mid-chunk still leaves the whole chunk resumable.
         """
-        recorded: dict[int, AnnotationResult] = {}
+        done: dict[int, AnnotationResult] = {}
         pending: list[ColumnPlan] = []
         for plan in plans:
             result = manifest.get(chunk_start + plan.position)
             if result is not None:
-                recorded[plan.position] = result
+                done[plan.position] = result
             else:
                 pending.append(plan)
-        executed: dict[int, AnnotationResult] = {}
         if pending:
             results = executor.execute(
                 pending, self.engine, self.remapper, self.stats
             )
             # executor.execute returns results ordered by plan position.
-            for plan, result in zip(
-                sorted(pending, key=lambda p: p.position), results, strict=True
-            ):
-                manifest.record(chunk_start + plan.position, result)
-                executed[plan.position] = result
+            executed = dict(
+                zip(sorted(p.position for p in pending), results, strict=True)
+            )
+            manifest.record(
+                {chunk_start + position: r for position, r in executed.items()}
+            )
+            done.update(executed)
         for plan in plans:
-            if plan.position in recorded:
-                yield recorded[plan.position]
-            else:
-                yield executed[plan.position]
+            yield done[plan.position]
 
     def annotate_table(
         self,

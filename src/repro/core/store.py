@@ -1,48 +1,69 @@
 """Durable query store and run manifests: the persistence layer.
 
-The in-memory LRU prompt cache (:mod:`repro.core.querying`) makes repeated
-prompts cheap *within* a process, but every cached answer dies with the
-process — replaying a SOTAB-scale experiment, or resuming one that crashed
-partway through, re-pays every model call.  This module adds the durable tier
-under the LRU:
+The in-memory LRU prompt cache (:mod:`repro.core.querying`) dies with the
+process, so replaying a SOTAB-scale experiment, or resuming one that crashed
+partway through, would re-pay every model call.  This module adds the durable
+tier under the LRU:
 
-* :class:`ResponseStore` — the interface of a thread-safe, append-only,
-  on-disk ``(prompt, params) → response`` store, implemented by
-  :class:`SQLiteResponseStore` (one file, one table, transactional, safe
-  for writers in several processes).  Entries are immutable once written —
-  a second ``put`` for an existing key is a no-op — because every bundled
-  backend is a pure function of ``(prompt, params)``, so the first recorded
-  answer is *the* answer.  ``put_many`` commits a whole model batch as one
-  transaction (group commit: one ``fsync`` per batch, at full durability,
-  instead of one per prompt).
+* :class:`ResponseStore` — a thread-safe, append-only ``(prompt, params) →
+  response`` map, implemented by :class:`SQLiteResponseStore`.  The first
+  recorded answer is *the* answer, because every bundled backend is a pure
+  function of ``(prompt, params)``.  ``put_many`` commits a whole model batch
+  as one transaction (one ``fsync`` per batch, at full durability).
+* :class:`RunManifest` — one run's per-column predictions, keyed by global
+  column index and committed chunk by chunk, so a run killed mid-stream
+  resumes bit-identically: the annotator re-plans completed columns (planning
+  consumes the RNG stream exactly as annotation would) and takes their
+  results from the manifest instead of re-executing them.
 
-* :class:`RunManifest` — an append-only JSONL journal of per-column
-  predictions for one experiment run, keyed by global column index.  The
-  streaming pipeline records each chunk's results as it completes, so a run
-  killed mid-stream can be resumed: the annotator re-plans completed columns
-  (planning consumes the RNG stream exactly as annotation would, keeping the
-  replay bit-identical) and takes their results from the manifest instead of
-  re-executing them.
-
-The cache hierarchy is therefore LRU → store → model: the engine consults its
-LRU first, then the store (promoting hits into the LRU), and only then the
-model — writing fresh completions through to both tiers.  Both tiers assume
+The cache hierarchy is therefore LRU → store → model.  Both tiers assume
 response purity; disable them (``query_cache_size=0`` / ``store="none"``)
 when wrapping a stateful backend whose answers depend on call order.
+
+Schema
+------
+A cache directory holds one durable file, ``<cache-dir>/store.sqlite``.  The
+response store, each run manifest and the suite's shard journal open their
+own connection to it (:func:`_connect`), with these pragmas:
+
+================  ========  ================================================
+Pragma            Value     Purpose
+================  ========  ================================================
+``busy_timeout``  30000 ms  wait out another process's write lock
+``journal_mode``  WAL       others read while one writes (if the FS allows)
+``synchronous``   FULL      every commit is fsync'd
+================  ========  ================================================
+
+Every write is one ``BEGIN IMMEDIATE`` … ``COMMIT`` (:func:`_transaction`)
+that lands whole or not at all.  Run ids are keys, never paths.
+
+================  =======================  =================================
+Table             Primary key              Other columns
+================  =======================  =================================
+``responses``     ``prompt``, ``params``   ``response``, ``created_at``
+``runs``          ``run_id``               ``metadata`` (JSON), ``created_at``
+``run_results``   ``run_id``, ``i``        ``label``, ``raw``, ``remapped``,
+                                           ``rule``, ``strategy``
+``suite_shards``  ``suite_run_id``,        ``record`` (JSON)
+                  ``fingerprint``
+================  =======================  =================================
+
+:func:`open_journal` creates all but ``responses``, also under
+``store="none"``.  ``i`` is the global column index; every column is
+``NOT NULL``; nothing reads ``created_at`` back.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import threading
 import time
 import uuid
 from abc import ABC, abstractmethod
-from contextlib import suppress
+from contextlib import closing, contextmanager, suppress
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.core.plan import AnnotationResult
 from repro.exceptions import ConfigurationError, StoreError
@@ -51,10 +72,99 @@ from repro.llm.base import GenerationParams
 #: Store kinds accepted by :func:`open_store` (and the ``--store`` CLI knob).
 STORE_KINDS: tuple[str, ...] = ("sqlite", "none")
 
-#: File names used inside a cache directory.
+#: The one durable file inside a cache directory.
 SQLITE_STORE_FILENAME = "store.sqlite"
-RUNS_DIRNAME = "runs"
-MANIFEST_FILENAME = "manifest.jsonl"
+
+#: Seconds a connection waits on another process's write lock before
+#: failing.  Suite shards in separate worker processes share one store
+#: file, so contention is expected and transient rather than fatal.
+BUSY_TIMEOUT_S = 30.0
+
+_RESPONSES_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS responses (prompt TEXT NOT NULL,"
+    " params TEXT NOT NULL, response TEXT NOT NULL, created_at REAL NOT NULL,"
+    " PRIMARY KEY (prompt, params))",
+)
+
+_JOURNAL_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS runs (run_id TEXT NOT NULL PRIMARY KEY,"
+    " metadata TEXT NOT NULL, created_at REAL NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS run_results (run_id TEXT NOT NULL,"
+    " i INTEGER NOT NULL, label TEXT NOT NULL, raw TEXT NOT NULL,"
+    " remapped INTEGER NOT NULL, rule INTEGER NOT NULL,"
+    " strategy TEXT NOT NULL, PRIMARY KEY (run_id, i))",
+    "CREATE TABLE IF NOT EXISTS suite_shards (suite_run_id TEXT NOT NULL,"
+    " fingerprint TEXT NOT NULL, record TEXT NOT NULL,"
+    " PRIMARY KEY (suite_run_id, fingerprint))",
+)
+
+
+def _connect(path: Path, schema: Sequence[str]) -> sqlite3.Connection:
+    """Open ``path`` with the cache file's pragmas and create ``schema``.
+
+    Raises :class:`StoreError` when the file cannot be opened as a SQLite
+    database (a missing directory, a file that is not a database, ...).
+    """
+    try:
+        conn = sqlite3.connect(
+            str(path),
+            check_same_thread=False,
+            isolation_level=None,
+            timeout=BUSY_TIMEOUT_S,
+        )
+        try:
+            conn.execute(f"PRAGMA busy_timeout = {int(BUSY_TIMEOUT_S * 1000)}")
+            # On filesystems that cannot support WAL (some network mounts)
+            # SQLite keeps the default journal, which is merely slower under
+            # cross-process contention, not wrong.
+            with suppress(sqlite3.DatabaseError):
+                conn.execute("PRAGMA journal_mode = WAL")
+            # Every commit is durable (fsync'd) whatever the build's WAL
+            # default; batching writes, not a weaker pragma, is what keeps
+            # that affordable.
+            conn.execute("PRAGMA synchronous = FULL")
+            for statement in schema:
+                conn.execute(statement)
+        except BaseException:
+            conn.close()
+            raise
+    except sqlite3.DatabaseError as exc:
+        raise StoreError(f"cannot open SQLite store at {path}: {exc}") from exc
+    return conn
+
+
+@contextmanager
+def _transaction(conn: sqlite3.Connection, failure: str) -> Iterator[None]:
+    """Run the block as one ``BEGIN IMMEDIATE`` … ``COMMIT`` transaction.
+
+    IMMEDIATE takes the write lock up front, so contention with another
+    process waits out the busy timeout instead of failing a deferred
+    transaction's lock upgrade.  If anything raises, nothing of the block
+    lands, and a ``sqlite3.DatabaseError`` becomes ``StoreError(failure)``.
+    """
+    try:
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                with suppress(sqlite3.DatabaseError):
+                    conn.execute("ROLLBACK")
+            raise
+    except sqlite3.DatabaseError as exc:
+        raise StoreError(f"{failure}: {exc}") from exc
+
+
+def open_journal(cache_dir: str | Path) -> sqlite3.Connection:
+    """A connection to ``cache_dir``'s store file with the journal tables.
+
+    Run manifests and suite shard journals each hold their own, so they
+    share the store's file without sharing its connection or its lock.
+    """
+    directory = Path(cache_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    return _connect(directory / SQLITE_STORE_FILENAME, _JOURNAL_SCHEMA)
 
 
 def params_key(params: GenerationParams) -> str:
@@ -129,20 +239,15 @@ class ResponseStore(ABC):
 class SQLiteResponseStore(ResponseStore):
     """SQLite-backed response store (the default backend).
 
-    One table, primary-keyed on ``(prompt, params)``; writes use ``INSERT OR
-    IGNORE`` so the store is append-only at the row level and concurrent
-    writers racing on the same key keep the first-committed answer.  A single
-    connection is shared across threads behind a lock (the workload is
-    read-mostly and answers are small, so lock contention is negligible next
-    to model-call latency).
+    The ``responses`` table (see the module docstring), primary-keyed on
+    ``(prompt, params)``; writes use ``INSERT OR IGNORE`` so the store is
+    append-only at the row level and concurrent writers racing on the same
+    key keep the first-committed answer.  A single connection is shared
+    across threads behind a lock (the workload is read-mostly and answers
+    are small, so lock contention is negligible next to model-call latency).
     """
 
     kind = "sqlite"
-
-    #: Seconds a connection waits on another process's write lock before
-    #: failing.  Suite shards in separate worker processes share one store
-    #: file, so contention is expected and transient rather than fatal.
-    BUSY_TIMEOUT_S = 30.0
 
     _INSERT = (
         "INSERT OR IGNORE INTO responses"
@@ -152,39 +257,8 @@ class SQLiteResponseStore(ResponseStore):
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
-        try:
-            # guarded-by: _lock (one shared connection, not thread-safe alone)
-            self._conn = sqlite3.connect(
-                str(self.path),
-                check_same_thread=False,
-                isolation_level=None,
-                timeout=self.BUSY_TIMEOUT_S,
-            )
-            self._conn.execute(
-                f"PRAGMA busy_timeout = {int(self.BUSY_TIMEOUT_S * 1000)}"
-            )
-            # WAL lets suite shards in other processes read while one
-            # writes; on filesystems that cannot support it (some network
-            # mounts) SQLite keeps the default journal, which is merely
-            # slower under cross-process contention, not wrong.
-            with suppress(sqlite3.DatabaseError):
-                self._conn.execute("PRAGMA journal_mode = WAL")
-            # Every commit is durable (fsync'd) whatever the build's WAL
-            # default; batching writes (put_many), not a weaker pragma, is
-            # what keeps that affordable.
-            self._conn.execute("PRAGMA synchronous = FULL")
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS responses ("
-                "  prompt TEXT NOT NULL,"
-                "  params TEXT NOT NULL,"
-                "  response TEXT NOT NULL,"
-                "  created_at REAL NOT NULL,"
-                "  PRIMARY KEY (prompt, params))"
-            )
-        except sqlite3.DatabaseError as exc:
-            raise StoreError(
-                f"cannot open SQLite response store at {self.path}: {exc}"
-            ) from exc
+        # guarded-by: _lock (one shared connection, not thread-safe alone)
+        self._conn = _connect(self.path, _RESPONSES_SCHEMA)
 
     def get(self, prompt: str, params: GenerationParams) -> str | None:
         with self._lock:
@@ -217,21 +291,8 @@ class SQLiteResponseStore(ResponseStore):
             for prompt, params, response in entries
         ]
         with self._lock:
-            try:
-                # IMMEDIATE takes the write lock up front, so contention with
-                # another process waits out the busy timeout instead of
-                # failing a deferred transaction's lock upgrade.
-                self._conn.execute("BEGIN IMMEDIATE")
-                try:
-                    self._conn.executemany(self._INSERT, rows)
-                    self._conn.execute("COMMIT")
-                except BaseException:
-                    if self._conn.in_transaction:
-                        with suppress(sqlite3.DatabaseError):
-                            self._conn.execute("ROLLBACK")
-                    raise
-            except sqlite3.DatabaseError as exc:
-                raise StoreError(f"response store write failed: {exc}") from exc
+            with _transaction(self._conn, "response store write failed"):
+                self._conn.executemany(self._INSERT, rows)
 
     def __len__(self) -> int:
         with self._lock:
@@ -264,7 +325,7 @@ def open_store(kind: str, cache_dir: str | Path) -> ResponseStore | None:
 
 
 def generate_run_id() -> str:
-    """A fresh, filesystem-safe, sortable run identifier.
+    """A fresh, sortable run identifier.
 
     Allowlisted nondeterminism: a run id must be *unique across runs*, which
     is the opposite of derivable-from-the-seed — two runs with identical
@@ -276,53 +337,35 @@ def generate_run_id() -> str:
 
 
 class RunManifest:
-    """Append-only JSONL journal of per-column predictions for one run.
+    """Per-column predictions of one run: rows of the cache's store file.
 
-    Line 1 is a header (``run_id`` plus caller metadata: benchmark, method,
-    seed, ...); every following line records one column's finished
-    :class:`~repro.core.plan.AnnotationResult`, keyed by global column index.
-    Records are flushed as they are written, so after a crash the manifest
-    holds every column whose chunk completed; a line truncated mid-write, or
-    any other malformed line, is skipped on load and counted in
-    :attr:`corrupt_entries_skipped` rather than failing the resume.
+    The run's ``runs`` row holds its id plus caller metadata (benchmark,
+    method, seed, ...); each ``run_results`` row one column's finished
+    :class:`~repro.core.plan.AnnotationResult`, keyed by global column
+    index.  :meth:`record` commits a whole chunk in one transaction, so after
+    a crash the manifest holds exactly the chunks whose commit completed.
 
     Recorded results deliberately persist only the fields evaluation needs
     (label, raw response, remap/rule flags, strategy) — prompts and sampled
     values are reproducible from the plan side and would bloat the journal.
     """
 
+    _RECORD = (
+        "INSERT INTO run_results"
+        " (run_id, i, label, raw, remapped, rule, strategy)"
+        " VALUES (?, ?, ?, ?, ?, ?, ?) ON CONFLICT (run_id, i) DO NOTHING"
+    )
+
     def __init__(
         self,
-        path: str | Path,
+        conn: sqlite3.Connection,
         run_id: str,
-        metadata: Mapping[str, object] | None = None,
-        _write_header: bool = True,
+        metadata: Mapping[str, object],
     ) -> None:
-        self.path = Path(path)
         self.run_id = run_id
-        self.metadata: dict[str, object] = dict(metadata or {})
-        self.corrupt_entries_skipped = 0
+        self.metadata: dict[str, object] = dict(metadata)
         self._lock = threading.Lock()
-        self._records: dict[int, AnnotationResult] = {}  # guarded-by: _lock
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if _write_header:
-            with self.path.open("w", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(
-                        {
-                            "type": "header",
-                            "run_id": run_id,
-                            # Allowlisted wall-clock read: header provenance
-                            # only; stripped out on reload (_load_records)
-                            # and never consulted by the replay path.
-                            "created_at": time.time(),  # repro-lint: disable=det-wallclock
-                            **self.metadata,
-                        },
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
-        self._handle = self.path.open("a", encoding="utf-8")  # guarded-by: _lock
+        self._conn = conn  # guarded-by: _lock
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -332,94 +375,75 @@ class RunManifest:
         run_id: str | None = None,
         metadata: Mapping[str, object] | None = None,
     ) -> "RunManifest":
-        """Start a fresh manifest under ``cache_dir/runs/<run_id>/``."""
+        """Start a fresh manifest in ``cache_dir``'s store file."""
         run_id = run_id or generate_run_id()
-        path = Path(cache_dir) / RUNS_DIRNAME / run_id / MANIFEST_FILENAME
-        if path.exists():
-            raise ConfigurationError(
-                f"run {run_id!r} already exists under {cache_dir}; "
-                "pass it as the resume id instead of creating it again"
-            )
-        return cls(path, run_id=run_id, metadata=metadata)
+        metadata = dict(metadata or {})
+        conn = open_journal(cache_dir)
+        try:
+            with _transaction(conn, "run manifest write failed"):
+                inserted = conn.execute(
+                    "INSERT INTO runs (run_id, metadata, created_at)"
+                    " VALUES (?, ?, ?) ON CONFLICT (run_id) DO NOTHING",
+                    # Allowlisted wall-clock read: provenance only; the
+                    # replay path never reads created_at back.
+                    (run_id, json.dumps(metadata), time.time()),  # repro-lint: disable=det-wallclock
+                ).rowcount
+            if not inserted:
+                raise ConfigurationError(
+                    f"run {run_id!r} already exists under {cache_dir}; "
+                    "pass it as the resume id instead of creating it again"
+                )
+        except BaseException:
+            conn.close()
+            raise
+        return cls(conn, run_id, metadata)
 
     @classmethod
     def load(cls, cache_dir: str | Path, run_id: str) -> "RunManifest":
         """Reopen an existing manifest for resumption."""
-        path = Path(cache_dir) / RUNS_DIRNAME / run_id / MANIFEST_FILENAME
-        if not path.exists():
+        conn = open_journal(cache_dir)
+        row = conn.execute(
+            "SELECT metadata FROM runs WHERE run_id = ?", (run_id,)
+        ).fetchone()
+        if row is None:
+            conn.close()
             available = list_runs(cache_dir)
             raise ConfigurationError(
                 f"no manifest for run {run_id!r} under {cache_dir}"
                 + (f"; available runs: {available}" if available else "")
             )
-        manifest = cls(path, run_id=run_id, _write_header=False)
-        manifest._load_records()
-        return manifest
-
-    def _load_records(self) -> None:
-        # Taken for the _records writes below: replay happens right after
-        # construction (before the manifest is shared), but holding the lock
-        # keeps the guarded-attribute invariant unconditional instead of
-        # depending on every caller's timing.
-        with self._lock, self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    self.corrupt_entries_skipped += 1
-                    continue
-                if record.get("type") == "header":
-                    self.metadata = {
-                        k: v
-                        for k, v in record.items()
-                        if k not in ("type", "run_id", "created_at")
-                    }
-                    continue
-                try:
-                    index = int(record["i"])
-                    result = AnnotationResult(
-                        label=record["label"],
-                        raw_response=record["raw"],
-                        prompt=None,
-                        remapped=bool(record["remapped"]),
-                        rule_applied=bool(record["rule"]),
-                        strategy=record["strategy"],
-                    )
-                except (KeyError, TypeError, ValueError):
-                    self.corrupt_entries_skipped += 1
-                    continue
-                self._records.setdefault(index, result)
+        return cls(conn, run_id, json.loads(row[0]))
 
     # ------------------------------------------------------------- journal
-    def record(self, index: int, result: AnnotationResult) -> None:
-        """Append one column's finished result (idempotent per index)."""
+    def record(self, results: Mapping[int, AnnotationResult]) -> None:
+        """Commit one chunk's ``{index: result}`` in one transaction.
+
+        First write wins per index.  If the commit fails, none of the chunk
+        is recorded and :class:`StoreError` is raised.
+        """
+        rows = [
+            (self.run_id, index, result.label, result.raw_response,
+             result.remapped, result.rule_applied, result.strategy)
+            for index, result in results.items()
+        ]
         with self._lock:
-            if index in self._records:
-                return
-            self._handle.write(
-                json.dumps(
-                    {
-                        "type": "result",
-                        "i": index,
-                        "label": result.label,
-                        "raw": result.raw_response,
-                        "remapped": result.remapped,
-                        "rule": result.rule_applied,
-                        "strategy": result.strategy,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-            self._handle.flush()
-            self._records[index] = result
+            with _transaction(self._conn, "run manifest write failed"):
+                self._conn.executemany(self._RECORD, rows)
 
     def get(self, index: int) -> AnnotationResult | None:
         """The recorded result for global column ``index``, if any."""
         with self._lock:
-            return self._records.get(index)
+            row = self._conn.execute(
+                "SELECT label, raw, remapped, rule, strategy FROM run_results"
+                " WHERE run_id = ? AND i = ?",
+                (self.run_id, index),
+            ).fetchone()
+        if row is None:
+            return None
+        label, raw, remapped, rule, strategy = row
+        return AnnotationResult(
+            label, raw, None, bool(remapped), bool(rule), strategy
+        )
 
     def __contains__(self, index: int) -> bool:
         return self.get(index) is not None
@@ -428,16 +452,24 @@ class RunManifest:
     def n_completed(self) -> int:
         """Number of columns with a recorded result."""
         with self._lock:
-            return len(self._records)
+            (count,) = self._conn.execute(
+                "SELECT COUNT(*) FROM run_results WHERE run_id = ?",
+                (self.run_id,),
+            ).fetchone()
+        return int(count)
 
     def completed_indices(self) -> list[int]:
         """Sorted global column indices with recorded results."""
         with self._lock:
-            return sorted(self._records)
+            rows = self._conn.execute(
+                "SELECT i FROM run_results WHERE run_id = ? ORDER BY i",
+                (self.run_id,),
+            ).fetchall()
+        return [index for (index,) in rows]
 
     def close(self) -> None:
         with self._lock:
-            self._handle.close()
+            self._conn.close()
 
     def __enter__(self) -> "RunManifest":
         return self
@@ -450,13 +482,9 @@ class RunManifest:
 
 
 def list_runs(cache_dir: str | Path) -> list[str]:
-    """Run ids with a manifest under ``cache_dir/runs/``, oldest first."""
-    runs_dir = Path(cache_dir) / RUNS_DIRNAME
-    if not runs_dir.is_dir():
+    """Ids of the runs recorded in ``cache_dir``'s store file, sorted."""
+    if not (Path(cache_dir) / SQLITE_STORE_FILENAME).exists():
         return []
-    return sorted(
-        entry.name
-        for entry in os.scandir(runs_dir)
-        if entry.is_dir() and (Path(entry.path) / MANIFEST_FILENAME).exists()
-    )
-
+    with closing(open_journal(cache_dir)) as conn:
+        rows = conn.execute("SELECT run_id FROM runs ORDER BY run_id")
+        return [run_id for (run_id,) in rows]

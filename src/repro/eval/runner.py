@@ -208,8 +208,6 @@ class ExperimentRunner:
       annotators (an :class:`repro.core.executor.Executor`, a name among
       ``sequential``/``batched``/``concurrent``/``process``, or ``None``
       for the historical ``batch_size`` semantics);
-    * ``stream_chunk_size`` — chunk for the streaming drive (defaults to
-      ``batch_size`` or 64);
     * ``max_batch_wait`` / ``queue_depth`` — request-scheduler knobs applied
       to the annotator's engine when it exposes one: the microbatcher's
       linger window for cross-request coalescing, and the bound on the
@@ -217,20 +215,21 @@ class ExperimentRunner:
     * ``reset_stats`` — zero the annotator's engine/pipeline counters before
       evaluating (when it exposes ``reset_stats``), so multi-run experiments
       report per-run numbers;
-    * ``cache_dir`` — directory for the persistence layer (see
-      :mod:`repro.core.store`): a durable ``(prompt, params) → response``
-      store shared by every run plus one checkpoint manifest per run.  The
-      store is attached to the annotator's engine for the duration of the
-      evaluation (an engine that already carries a store keeps its own);
+    * ``cache_dir`` — directory of the persistence layer's one file,
+      ``store.sqlite`` (see :mod:`repro.core.store`): a durable ``(prompt,
+      params) → response`` store shared by every run, plus one checkpoint
+      manifest per run as rows.  The store is attached to the annotator's
+      engine for the duration of the evaluation (an engine that already
+      carries a store keeps its own);
     * ``store`` — store kind under ``cache_dir`` (one of
       :data:`repro.core.store.STORE_KINDS`): ``"sqlite"`` (default), or
       ``"none"`` to checkpoint runs without persisting responses (the right
       setting for stateful backends);
-    * ``checkpoint`` — whether streaming runs under ``cache_dir`` journal a
+    * ``checkpoint`` — whether streaming runs under ``cache_dir`` record a
       per-run manifest.  The suite orchestrator disables this: its shards are
       resumed at shard granularity from the suite journal plus the shared
-      response store, and one manifest directory per evaluation would bury
-      ``cache_dir/runs/`` under hundreds of entries;
+      response store, so per-evaluation manifests would be written and
+      never read;
     * ``run_id`` — explicit id for the run manifest (default: generated);
     * ``resume`` — id of an interrupted run to resume: columns already in
       that run's manifest are replayed from the journal (bit-identically —
@@ -242,7 +241,6 @@ class ExperimentRunner:
     batch_size: int | None = None
     executor: object | str | None = None
     workers: int | None = None
-    stream_chunk_size: int | None = None
     max_batch_wait: float | None = None
     queue_depth: int | None = None
     reset_stats: bool = True
@@ -515,7 +513,7 @@ class ExperimentRunner:
             chunk_size = 1
             executor: object | str | None = "sequential"
         else:
-            chunk_size = self.stream_chunk_size or self.batch_size or 64
+            chunk_size = self.batch_size or 64
             executor = self.executor
         kwargs: dict[str, object] = {}
         if executor is not None:

@@ -15,8 +15,8 @@ registry into a reproducible workload:
   (``jobs=1`` runs inline), streaming per-shard progress.  Every worker opens
   its own handle onto the shared persistent response store under
   ``cache_dir`` (see :mod:`repro.core.store`), so a warm re-run of the suite
-  issues zero model queries.  Completed shards are journalled under
-  ``cache_dir/suite/<suite_run_id>/shards.jsonl``; ``resume=`` replays the
+  issues zero model queries.  Completed shards are journalled as
+  ``suite_shards`` rows of the same store file; ``resume=`` replays the
   journal and re-executes only the missing shards (a killed worker's shard
   re-runs warm from the store).
 * The orchestrator emits two artifacts: ``results.json`` (machine-readable
@@ -44,19 +44,13 @@ from fnmatch import fnmatch
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.core.store import generate_run_id
+from repro.core.store import _transaction, generate_run_id, open_journal
 from repro.eval.reporting import format_markdown_table
 from repro.eval.runner import ExperimentRunner
 from repro.exceptions import ConfigurationError
 
 #: Version of the ``results.json`` schema; bump on breaking layout changes.
 RESULTS_SCHEMA_VERSION = 1
-
-#: Directory (under ``cache_dir``) holding suite run journals.
-SUITE_RUNS_DIRNAME = "suite"
-
-#: File name of the per-suite-run shard journal.
-SHARD_JOURNAL_FILENAME = "shards.jsonl"
 
 #: Machine-readable artifact file names.
 RESULTS_FILENAME = "results.json"
@@ -473,62 +467,44 @@ def _shard_payload(task: ShardTask, options: "SuiteOptions") -> dict:
 
 # ------------------------------------------------------------------- journal
 class ShardJournal:
-    """Append-only JSONL journal of completed shards for one suite run.
+    """Completed shards of one suite run: ``suite_shards`` rows of the store.
 
-    Only written when the suite has a ``cache_dir``.  Resuming loads every
+    Only kept when the suite has a ``cache_dir``.  Resuming loads every
     recorded ``ok`` shard whose fingerprint still matches the planned work;
     anything else (missing, failed, or stale) re-runs — warm, because the
     response store survived.
     """
 
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a", encoding="utf-8")
+    def __init__(self, cache_dir: str | Path, suite_run_id: str) -> None:
+        self.cache_dir = cache_dir
+        self.suite_run_id = suite_run_id
+        self._conn = open_journal(cache_dir)
 
-    @classmethod
-    def open(cls, cache_dir: str | Path, suite_run_id: str) -> "ShardJournal":
-        return cls(
-            Path(cache_dir)
-            / SUITE_RUNS_DIRNAME
-            / suite_run_id
-            / SHARD_JOURNAL_FILENAME
-        )
-
-    @staticmethod
-    def load_completed(
-        cache_dir: str | Path, suite_run_id: str
-    ) -> dict[str, dict]:
-        """Fingerprint-keyed ``ok`` records of a previous suite run."""
-        path = (
-            Path(cache_dir)
-            / SUITE_RUNS_DIRNAME
-            / suite_run_id
-            / SHARD_JOURNAL_FILENAME
-        )
-        if not path.exists():
+    def completed(self) -> dict[str, dict]:
+        """Fingerprint-keyed ``ok`` records; the run must have recorded one."""
+        rows = self._conn.execute(
+            "SELECT record FROM suite_shards WHERE suite_run_id = ?",
+            (self.suite_run_id,),
+        ).fetchall()
+        if not rows:
             raise ConfigurationError(
-                f"no suite journal for run {suite_run_id!r} under {cache_dir}"
+                f"no suite journal for run {self.suite_run_id!r} "
+                f"under {self.cache_dir}"
             )
-        completed: dict[str, dict] = {}
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # truncated by a crash mid-append
-                if record.get("status") == "ok" and "fingerprint" in record:
-                    completed[record["fingerprint"]] = record
-        return completed
+        records = [json.loads(record) for (record,) in rows]
+        return {r["fingerprint"]: r for r in records if r["status"] == "ok"}
 
     def record(self, result: dict) -> None:
-        self._handle.write(json.dumps(result, separators=(",", ":")) + "\n")
-        self._handle.flush()
+        with _transaction(self._conn, "suite journal write failed"):
+            self._conn.execute(
+                "INSERT INTO suite_shards (suite_run_id, fingerprint, record)"
+                " VALUES (?, ?, ?) ON CONFLICT (suite_run_id, fingerprint)"
+                " DO UPDATE SET record = excluded.record",
+                (self.suite_run_id, result["fingerprint"], json.dumps(result)),
+            )
 
     def close(self) -> None:
-        self._handle.close()
+        self._conn.close()
 
 
 # ----------------------------------------------------------------- suite run
@@ -816,27 +792,23 @@ def run_suite(options: SuiteOptions) -> SuiteResult:
         seed=options.seed,
     )
 
-    completed_journal: dict[str, dict] = {}
-    if options.resume is not None:
-        if options.cache_dir is None:
-            raise ConfigurationError(
-                "resume requires --cache-dir to locate the suite journal"
-            )
-        completed_journal = ShardJournal.load_completed(
-            options.cache_dir, options.resume
+    if options.resume is not None and options.cache_dir is None:
+        raise ConfigurationError(
+            "resume requires --cache-dir to locate the suite journal"
         )
     suite_run_id = options.resume or generate_run_id()
-
     journal: ShardJournal | None = None
     if options.cache_dir is not None:
-        journal = ShardJournal.open(options.cache_dir, suite_run_id)
-
-    emit(
-        f"suite {suite_run_id}: {len(selected)} experiments, "
-        f"{len(tasks)} shards, jobs={options.jobs}"
-        + (f", resuming {len(completed_journal)} journalled" if completed_journal else "")
-    )
+        journal = ShardJournal(options.cache_dir, suite_run_id)
     try:
+        completed_journal: dict[str, dict] = {}
+        if journal is not None and options.resume is not None:
+            completed_journal = journal.completed()
+        emit(
+            f"suite {suite_run_id}: {len(selected)} experiments, "
+            f"{len(tasks)} shards, jobs={options.jobs}"
+            + (f", resuming {len(completed_journal)} journalled" if completed_journal else "")
+        )
         shard_results = _execute_dag(tasks, options, completed_journal, journal, emit)
     finally:
         if journal is not None:

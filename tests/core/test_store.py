@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.plan import AnnotationResult
 from repro.core.store import (
+    SQLITE_STORE_FILENAME,
     STORE_KINDS,
     RunManifest,
     SQLiteResponseStore,
@@ -194,7 +197,7 @@ class TestSQLiteGroupCommit:
             assert store.get("ok", GenerationParams()) == "r"
 
 
-def _result(label: str, raw: str | None = None) -> AnnotationResult:
+def _result(label: str | None, raw: str | None = None) -> AnnotationResult:
     return AnnotationResult(
         label=label,
         raw_response=raw if raw is not None else label,
@@ -209,8 +212,7 @@ class TestRunManifest:
     def test_create_record_load_round_trip(self, tmp_path):
         manifest = RunManifest.create(tmp_path, run_id="run-a",
                                       metadata={"benchmark": "sotab-27"})
-        manifest.record(0, _result("person"))
-        manifest.record(1, _result("city", raw="City."))
+        manifest.record({0: _result("person"), 1: _result("city", raw="City.")})
         manifest.close()
 
         loaded = RunManifest.load(tmp_path, "run-a")
@@ -224,8 +226,8 @@ class TestRunManifest:
 
     def test_record_is_idempotent_per_index(self, tmp_path):
         manifest = RunManifest.create(tmp_path, run_id="run-b")
-        manifest.record(0, _result("first"))
-        manifest.record(0, _result("second"))
+        manifest.record({0: _result("first")})
+        manifest.record({0: _result("second")})
         manifest.close()
         loaded = RunManifest.load(tmp_path, "run-b")
         assert loaded.get(0).label == "first"
@@ -234,10 +236,10 @@ class TestRunManifest:
 
     def test_resumed_manifest_keeps_appending(self, tmp_path):
         manifest = RunManifest.create(tmp_path, run_id="run-c")
-        manifest.record(0, _result("a"))
+        manifest.record({0: _result("a")})
         manifest.close()
         resumed = RunManifest.load(tmp_path, "run-c")
-        resumed.record(1, _result("b"))
+        resumed.record({1: _result("b")})
         resumed.close()
         final = RunManifest.load(tmp_path, "run-c")
         assert final.completed_indices() == [0, 1]
@@ -253,17 +255,42 @@ class TestRunManifest:
         with pytest.raises(ConfigurationError, match="resume"):
             RunManifest.create(tmp_path, run_id="dup")
 
-    def test_truncated_trailing_record_is_skipped(self, tmp_path):
+    def test_failed_chunk_commit_records_none_of_it(self, tmp_path):
         manifest = RunManifest.create(tmp_path, run_id="run-d")
-        manifest.record(0, _result("kept"))
+        manifest.record({0: _result("kept")})
+        with pytest.raises(StoreError, match="write failed") as excinfo:
+            # label=None breaks run_results' NOT NULL: the commit fails.
+            manifest.record({1: _result("lost"), 2: _result(None)})
+        assert isinstance(excinfo.value.__cause__, sqlite3.DatabaseError)
+        assert manifest.completed_indices() == [0]
+        manifest.record({1: _result("b")})
+        assert manifest.completed_indices() == [0, 1]
         manifest.close()
-        path = tmp_path / "runs" / "run-d" / "manifest.jsonl"
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"type":"result","i":1,"label":"lo')
-        loaded = RunManifest.load(tmp_path, "run-d")
-        assert loaded.completed_indices() == [0]
-        assert loaded.corrupt_entries_skipped == 1
-        loaded.close()
+
+    def test_not_a_database_raises_store_error(self, tmp_path):
+        (tmp_path / SQLITE_STORE_FILENAME).write_bytes(b"not sqlite\n" * 64)
+        with pytest.raises(StoreError, match="cannot open"):
+            RunManifest.create(tmp_path, run_id="run-e")
+
+    def test_old_jsonl_layout_resumes_as_an_unknown_run(self, tmp_path):
+        old = tmp_path / "runs" / "old-run" / "manifest.jsonl"
+        old.parent.mkdir(parents=True)
+        old.write_text('{"type":"header","run_id":"old-run"}\n', encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="old-run"):
+            RunManifest.load(tmp_path, "old-run")
+
+    @pytest.mark.parametrize("run_id", ["../../escaped", "a/b", ".."])
+    def test_run_id_is_a_key_not_a_path(self, tmp_path, run_id):
+        cache = tmp_path / "deep" / "cache"
+        manifest = RunManifest.create(cache, run_id=run_id)
+        manifest.record({0: _result("x")})
+        manifest.close()
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")
+                if cache not in p.parents and p != cache] == [Path("deep")]
+        resumed = RunManifest.load(cache, run_id)
+        assert resumed.get(0).label == "x"
+        assert list_runs(cache) == [run_id]
+        resumed.close()
 
     def test_list_runs(self, tmp_path):
         assert list_runs(tmp_path) == []

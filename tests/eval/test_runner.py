@@ -113,7 +113,7 @@ class TestPredictionsOnlyStrictness:
 
 class TestRunnerDrives:
     def test_streaming_drive_matches_sequential_drive(self, d4_small):
-        streamed = ExperimentRunner(batch_size=None, stream_chunk_size=16).evaluate(
+        streamed = ExperimentRunner(batch_size=16).evaluate(
             build_archetype_method(d4_small, model="gpt"), d4_small, "streamed"
         )
         sequential = ExperimentRunner(batch_size=0).evaluate(

@@ -10,10 +10,13 @@ does that.
 from __future__ import annotations
 
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.core.store import SQLITE_STORE_FILENAME
+from repro.exceptions import ConfigurationError, StoreError
 from repro.experiments import suite
 from repro.experiments.suite import (
     ExperimentSpec,
@@ -252,14 +255,14 @@ class TestResume:
         cold = run_suite(SuiteOptions(**options))
         assert cold.ok and cold.totals["n_queries"] > 0
 
-        journal_path = (
-            cache_dir / suite.SUITE_RUNS_DIRNAME / cold.suite_run_id
-            / suite.SHARD_JOURNAL_FILENAME
-        )
-        lines = journal_path.read_text(encoding="utf-8").splitlines()
-        kept = [line for line in lines if json.loads(line)["shard"] != "d4-20"]
-        assert len(kept) == len(lines) - 1
-        journal_path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        with closing(sqlite3.connect(cache_dir / SQLITE_STORE_FILENAME)) as conn:
+            with conn:
+                dropped = conn.execute(
+                    "DELETE FROM suite_shards WHERE suite_run_id = ?"
+                    " AND json_extract(record, '$.shard') = 'd4-20'",
+                    (cold.suite_run_id,),
+                ).rowcount
+        assert dropped == 1
 
         resumed = run_suite(
             SuiteOptions(resume=cold.suite_run_id, **options)
@@ -297,6 +300,28 @@ class TestResume:
                 )
             )
 
+    def test_resume_of_a_run_that_recorded_no_shard_is_rejected(self, tmp_path):
+        """A suite run killed before its first shard finished left no row."""
+        started: list[str] = []
+
+        def killed_after_the_header(line: str) -> None:
+            started.append(line.split()[1].rstrip(":"))
+            raise _Killed
+
+        options = dict(quick=True, only=("shift",), cache_dir=tmp_path)
+        with pytest.raises(_Killed):
+            run_suite(SuiteOptions(progress=killed_after_the_header, **options))
+        with pytest.raises(ConfigurationError, match="no suite journal"):
+            run_suite(SuiteOptions(resume=started[0], progress=None, **options))
+
+    def test_not_a_database_raises_store_error(self, tmp_path):
+        (tmp_path / SQLITE_STORE_FILENAME).write_bytes(b"not sqlite\n" * 64)
+        with pytest.raises(StoreError, match="cannot open"):
+            run_suite(
+                SuiteOptions(quick=True, only=("shift",), cache_dir=tmp_path,
+                             progress=None)
+            )
+
     def test_stale_fingerprint_reruns_shard(self, tmp_path):
         """Journalled results are only reused for identical work."""
         options = dict(quick=True, jobs=1, only=("shift",), progress=None,
@@ -322,6 +347,10 @@ class TestRendering:
         text = render_experiments_index(registry)
         for name in registry:
             assert f"`{name}`" in text
+
+
+class _Killed(Exception):
+    """Stands in for the process dying at the point it is raised."""
 
 
 def _always_raise(config):

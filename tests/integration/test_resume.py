@@ -10,8 +10,14 @@ and the tail of the stream sees an unshifted RNG stream.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
 from repro.core.store import RunManifest, open_store
 from repro.datasets.registry import load_benchmark
@@ -20,6 +26,15 @@ from repro.exceptions import ConfigurationError
 
 N_COLUMNS = 48
 CHUNK = 8
+
+#: Exit status of a child killed inside its second chunk's transaction.
+KILLED_MID_COMMIT = 17
+
+#: Runs this file's ``_record_a_chunk_then_die_mid_commit`` in a child.
+_CHILD = (
+    "import runpy, sys; "
+    "runpy.run_path(sys.argv[1])['_record_a_chunk_then_die_mid_commit'](sys.argv[2])"
+)
 
 
 def _benchmark():
@@ -42,6 +57,25 @@ def _annotator(label_set) -> ArcheType:
 
 def _columns(benchmark):
     return [bench_column.column for bench_column in benchmark.columns]
+
+
+def _record_a_chunk_then_die_mid_commit(cache_dir: str) -> None:
+    """Commit chunk 0, then exit inside chunk 1's transaction, before COMMIT."""
+    benchmark = _benchmark()
+    manifest = RunManifest.create(cache_dir, run_id="killed-mid-commit")
+    commits: list[str] = []
+
+    def exit_at_the_second_commit(statement: str) -> None:
+        if statement == "COMMIT":
+            commits.append(statement)
+            if len(commits) == 2:
+                os._exit(KILLED_MID_COMMIT)
+
+    manifest._conn.set_trace_callback(exit_at_the_second_commit)
+    for _ in _annotator(benchmark.label_set).annotate_stream(
+        _columns(benchmark), chunk_size=CHUNK, manifest=manifest
+    ):
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +126,32 @@ class TestStreamResume:
             resumed_annotator.engine.stats.n_resamples
         )
 
+    def test_killed_mid_commit_resumes_committed_chunks(
+        self, tmp_path, golden_labels
+    ):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD, __file__, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert child.returncode == KILLED_MID_COMMIT
+
+        # The uncommitted chunk is invisible, and it does not block the
+        # resumed run's writes.
+        recorded = RunManifest.load(tmp_path, "killed-mid-commit")
+        assert recorded.completed_indices() == list(range(CHUNK))
+        benchmark = _benchmark()
+        resumed = [
+            result.label
+            for result in _annotator(benchmark.label_set).annotate_stream(
+                _columns(benchmark), chunk_size=CHUNK, manifest=recorded
+            )
+        ]
+        assert resumed == golden_labels
+        assert recorded.n_completed == N_COLUMNS
+        recorded.close()
+
     def test_resume_with_store_issues_no_queries_for_recorded_prefix(
         self, tmp_path, golden_labels
     ):
@@ -139,13 +199,13 @@ class TestRunnerResume:
         benchmark = _benchmark()
 
         # Uninterrupted reference run (no persistence).
-        reference = ExperimentRunner(stream_chunk_size=CHUNK).evaluate(
+        reference = ExperimentRunner(batch_size=CHUNK).evaluate(
             _annotator(benchmark.label_set), benchmark, "archetype"
         )
 
         # Partial run: only the first half of the split, checkpointed.
         partial = ExperimentRunner(
-            stream_chunk_size=CHUNK, cache_dir=tmp_path, run_id="half"
+            batch_size=CHUNK, cache_dir=tmp_path, run_id="half"
         ).evaluate(
             _annotator(benchmark.label_set),
             benchmark,
@@ -157,7 +217,7 @@ class TestRunnerResume:
 
         # Resumed full run: replays the first half from the manifest.
         resumed = ExperimentRunner(
-            stream_chunk_size=CHUNK, cache_dir=tmp_path, resume="half"
+            batch_size=CHUNK, cache_dir=tmp_path, resume="half"
         ).evaluate(_annotator(benchmark.label_set), benchmark, "archetype")
         assert resumed.predictions == reference.predictions
         assert resumed.run_id == "half"
@@ -168,13 +228,37 @@ class TestRunnerResume:
         assert manifest.n_completed == N_COLUMNS
         manifest.close()
 
+    @pytest.mark.parametrize("run_id", ["../../escaped", "a/b"])
+    def test_run_id_is_a_key_not_a_path(self, tmp_path, run_id):
+        benchmark = _benchmark()
+        cache = tmp_path / "deep" / "cache"
+        reference = ExperimentRunner(batch_size=CHUNK).evaluate(
+            _annotator(benchmark.label_set), benchmark, "archetype"
+        )
+        ExperimentRunner(batch_size=CHUNK, cache_dir=cache, run_id=run_id).evaluate(
+            _annotator(benchmark.label_set),
+            benchmark,
+            "archetype",
+            max_columns=N_COLUMNS // 2,
+        )
+        resumed = ExperimentRunner(
+            batch_size=CHUNK, cache_dir=cache, resume=run_id
+        ).evaluate(_annotator(benchmark.label_set), benchmark, "archetype")
+        assert resumed.run_id == run_id
+        assert resumed.predictions == reference.predictions
+        outside = [
+            path for path in tmp_path.rglob("*")
+            if path != cache and cache not in path.parents
+        ]
+        assert outside == [tmp_path / "deep"]
+
     def test_warm_store_rerun_issues_zero_queries(self, tmp_path):
         benchmark = _benchmark()
-        runner = ExperimentRunner(stream_chunk_size=CHUNK, cache_dir=tmp_path)
+        runner = ExperimentRunner(batch_size=CHUNK, cache_dir=tmp_path)
         cold = runner.evaluate(_annotator(benchmark.label_set), benchmark, "archetype")
         assert cold.n_queries > 0
 
-        warm = ExperimentRunner(stream_chunk_size=CHUNK, cache_dir=tmp_path).evaluate(
+        warm = ExperimentRunner(batch_size=CHUNK, cache_dir=tmp_path).evaluate(
             _annotator(benchmark.label_set), benchmark, "archetype"
         )
         assert warm.predictions == cold.predictions
