@@ -290,7 +290,7 @@ class SQLiteResponseStore(ResponseStore):
             (prompt, params_key(params), response, created_at)
             for prompt, params, response in entries
         ]
-        with self._lock:
+        with self._lock:  # noqa: SIM117 - held before _conn is read
             with _transaction(self._conn, "response store write failed"):
                 self._conn.executemany(self._INSERT, rows)
 
@@ -426,7 +426,7 @@ class RunManifest:
              result.remapped, result.rule_applied, result.strategy)
             for index, result in results.items()
         ]
-        with self._lock:
+        with self._lock:  # noqa: SIM117 - see put_many
             with _transaction(self._conn, "run manifest write failed"):
                 self._conn.executemany(self._RECORD, rows)
 

@@ -21,7 +21,6 @@ from repro.experiments import suite
 from repro.experiments.suite import (
     ExperimentSpec,
     PaperTarget,
-    ShardJournal,
     SuiteOptions,
     discover,
     experiment_module_names,
@@ -255,13 +254,13 @@ class TestResume:
         cold = run_suite(SuiteOptions(**options))
         assert cold.ok and cold.totals["n_queries"] > 0
 
-        with closing(sqlite3.connect(cache_dir / SQLITE_STORE_FILENAME)) as conn:
-            with conn:
-                dropped = conn.execute(
-                    "DELETE FROM suite_shards WHERE suite_run_id = ?"
-                    " AND json_extract(record, '$.shard') = 'd4-20'",
-                    (cold.suite_run_id,),
-                ).rowcount
+        store = cache_dir / SQLITE_STORE_FILENAME
+        with closing(sqlite3.connect(store)) as conn, conn:
+            dropped = conn.execute(
+                "DELETE FROM suite_shards WHERE suite_run_id = ?"
+                " AND json_extract(record, '$.shard') = 'd4-20'",
+                (cold.suite_run_id,),
+            ).rowcount
         assert dropped == 1
 
         resumed = run_suite(
