@@ -14,6 +14,10 @@ A store that fails its writes is one more arm of the draw.  Its declared
 outcome is a typed :class:`StoreError` with nothing left queued, and a run
 that does not finish within :data:`RUN_TIMEOUT_S` fails as a hang.
 
+A stream may also be abandoned after a drawn number of results and resumed
+by a fresh annotator from its :class:`RunManifest`: the manifest holds every
+chunk the abandoned stream started, and the resumed run the whole stream.
+
 Stateful backends (``query_cache_size=0``) get one more promise: every
 sequential entry point calls the model in the order of the loop.
 """
@@ -25,6 +29,7 @@ import tempfile
 import threading
 import zlib
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -34,7 +39,7 @@ from hypothesis import strategies as st
 from repro.core.executor import ProcessExecutor, get_executor
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
 from repro.core.remapping import list_remappers
-from repro.core.store import ResponseStore, SQLiteResponseStore
+from repro.core.store import ResponseStore, RunManifest, SQLiteResponseStore
 from repro.core.table import Table
 from repro.datasets.registry import load_benchmark
 from repro.eval.runner import ExperimentRunner
@@ -138,6 +143,9 @@ class Case:
     remapper: str
     sampler: str
     columns: tuple[int, ...]
+    #: Stream results consumed before the stream is abandoned and resumed
+    #: from its run manifest; ``None`` streams without a manifest.
+    abandon_after: int | None = None
 
 
 @st.composite
@@ -154,9 +162,15 @@ def cases(draw: Callable) -> Case:
     else:
         workers = draw(st.integers(1, 3)) if executor == "concurrent" else None
         store = draw(st.sampled_from(("none", "cold", "warm", "failing")))
+    entry = draw(st.sampled_from(("columns", "stream")))
+    columns = tuple(draw(st.lists(st.integers(0, len(POOL) - 1),
+                                  min_size=1, max_size=8)))
+    abandon_after = None
+    if entry == "stream" and store != "failing":
+        abandon_after = draw(st.none() | st.integers(0, len(columns)))
     return Case(
         executor=executor,
-        entry=draw(st.sampled_from(("columns", "stream"))),
+        entry=entry,
         chunk=None if executor == "sequential" else draw(
             st.none() | st.integers(1, 4)
         ),
@@ -168,8 +182,8 @@ def cases(draw: Callable) -> Case:
         fail_after=draw(st.integers(0, 2)),
         remapper=draw(st.sampled_from(list_remappers())),
         sampler=draw(st.sampled_from(("archetype", "firstk"))),
-        columns=tuple(draw(st.lists(st.integers(0, len(POOL) - 1),
-                                    min_size=1, max_size=8))),
+        columns=columns,
+        abandon_after=abandon_after,
     )
 
 
@@ -214,12 +228,35 @@ def _assert_conserved(annotator: ArcheType) -> None:
     )
 
 
-def _annotate(case: Case, annotator: ArcheType, executor, columns) -> list:
-    if case.entry == "stream":
-        return list(annotator.annotate_stream(
-            iter(columns), chunk_size=case.stream_chunk, executor=executor
-        ))
-    return annotator.annotate_columns(columns, executor=executor)
+def _stream(case: Case, annotator: ArcheType, executor, columns, manifest=None):
+    return annotator.annotate_stream(
+        iter(columns), chunk_size=case.stream_chunk, executor=executor,
+        manifest=manifest,
+    )
+
+
+def _annotate(
+    case: Case, fresh: Callable[[], ArcheType], executor, columns,
+    directory: Path,
+) -> list:
+    """Run the drawn entry point; ``fresh`` builds each annotator it uses."""
+    if case.entry == "columns":
+        return fresh().annotate_columns(columns, executor=executor)
+    if case.abandon_after is None:
+        return list(_stream(case, fresh(), executor, columns))
+    # Abandon a checkpointed stream, then resume it with a fresh annotator.
+    with RunManifest.create(directory) as manifest:
+        stream = _stream(case, fresh(), executor, columns, manifest)
+        abandoned = list(islice(stream, case.abandon_after))
+        stream.close()
+        chunk = case.stream_chunk
+        started = -(-case.abandon_after // chunk) * chunk  # whole chunks
+        assert manifest.n_completed == min(started, len(columns))
+    with RunManifest.load(directory, manifest.run_id) as resumed:
+        results = list(_stream(case, fresh(), executor, columns, resumed))
+        assert resumed.n_completed == len(columns)
+    assert _outcomes(abandoned) == _outcomes(results[:case.abandon_after])
+    return results
 
 
 def _reference(case: Case, columns, store: ResponseStore | None) -> list:
@@ -247,31 +284,38 @@ def _check_case(case: Case, directory: Path) -> None:
             case, columns, store if case.store == "warm" else None
         )
 
-        def run() -> tuple[ArcheType, list | None, BaseException | None]:
+        def run() -> tuple[list[ArcheType], list | None, BaseException | None]:
             # A batch above the cap makes the model raise, failing the run.
             model = WaveModel(case.max_batch_size)
-            annotator = ArcheType(_config(case, model, case.cache_size))
-            annotator.attach_store(store)
-            results, error = _bounded(
-                lambda: _annotate(case, annotator, executor, columns)
-            )
-            _assert_conserved(annotator)
-            return annotator, results, error
+            annotators: list[ArcheType] = []
 
-        annotator, results, error = run()
+            def fresh() -> ArcheType:
+                annotator = ArcheType(_config(case, model, case.cache_size))
+                annotator.attach_store(store)
+                annotators.append(annotator)
+                return annotator
+
+            results, error = _bounded(
+                lambda: _annotate(case, fresh, executor, columns, directory)
+            )
+            for annotator in annotators:
+                _assert_conserved(annotator)
+            return annotators, results, error
+
+        annotators, results, error = run()
         if isinstance(store, FailingStore) and store.failed:
             assert isinstance(error, StoreError), repr(error)
-            assert annotator.engine.scheduler.queue_len == 0
+            assert annotators[0].engine.scheduler.queue_len == 0
             return
         assert error is None, repr(error)
         assert _outcomes(results) == _outcomes(reference)
         tiered = case.cache_size > 0  # cache 0 bypasses the store by design
         if case.store == "warm" and tiered:
-            assert annotator.query_count == 0
+            assert sum(annotator.query_count for annotator in annotators) == 0
         if case.store in ("cold", "warm") and tiered:
-            rerun, results, error = run()
+            reruns, results, error = run()
             assert error is None, repr(error)
-            assert rerun.query_count == 0
+            assert sum(annotator.query_count for annotator in reruns) == 0
             assert _outcomes(results) == _outcomes(reference)
     finally:
         if isinstance(executor, ProcessExecutor):
@@ -308,6 +352,10 @@ _FAILING = replace(
 ))
 @example(case=_FANOUT)
 @example(case=_FAILING)
+# A stream abandoned mid-chunk and resumed by process workers:
+@example(case=replace(
+    _PROCESS, entry="stream", stream_chunk=2, store="none", abandon_after=3,
+))
 @given(case=cases())
 def test_every_configuration_keeps_the_contract(case: Case) -> None:
     threads_before = threading.active_count()
