@@ -249,7 +249,7 @@ def test_cross_request_coalescing_under_fanout(benchmark, bench_columns):
 
     def fan_out() -> dict[str, object]:
         annotator = _make_annotator(data.label_set, cache_size=4096)
-        annotator.engine.scheduler.configure(max_wait=0.005)
+        annotator.engine.configure(max_wait=0.005)
         start = perf_counter()
         results = annotator.annotate_columns(
             workload, executor="concurrent", workers=8

@@ -9,8 +9,8 @@ Submodules map one-to-one onto the stages in Figure 1 of the paper:
 * :mod:`repro.core.scheduler` — the request scheduler: the single
   lookup-and-fill pipeline (LRU → store → in-flight dedup → microbatched
   ``generate_batch`` drains) behind every query path.
-* :mod:`repro.core.querying` — model querying (``QueryEngine``, a thin
-  façade over the scheduler).
+* :mod:`repro.core.querying` — model querying (``QueryEngine``: the
+  request scheduler under the stage's name).
 * :mod:`repro.core.remapping` — label remapping (Algorithms 3 and 4).
 * :mod:`repro.core.rules` — rule-based label remapping (the "+" variants).
 * :mod:`repro.core.plan` — the logical half of annotation: per-column

@@ -1,29 +1,29 @@
 """Plan execution: the physical half of the plan/execute split.
 
 :mod:`repro.core.plan` decides *what* model work each column needs; this
-module decides *how* that work is carried out.  Since the scheduler refactor
-the executors own no threading, batching or dedup of their own — the
-:class:`repro.core.scheduler.RequestScheduler` behind the engine does all of
+module decides *how* that work is carried out.  The executors own no
+threading, batching or dedup of their own — the annotator's
+:class:`repro.core.scheduler.RequestScheduler` (its ``engine``) does all of
 that — so each executor is just a **submission policy**: how many plans it
 submits to the scheduler before awaiting any of them.
 
 * :class:`BatchedExecutor` — submit a chunk, await the chunk
-  (:meth:`repro.core.querying.QueryEngine.query_batch`): the scheduler
+  (:meth:`RequestScheduler.query_batch`): the scheduler
   drains each chunk as one cross-prompt ``generate_batch`` call.  With a
   chunk of one it is the ``"sequential"`` policy: each plan is queried and
   remapped before the next starts, bit-identical to the historical
   column-at-a-time loop (and the only policy valid for ``cache_size=0``
   stateful backends, whose answers depend on call order);
 * :class:`ConcurrentExecutor` — submit from several threads at once
-  (:meth:`QueryEngine.query_batch_fanout`): each thread becomes a drain
+  (:meth:`RequestScheduler.query_batch_fanout`): each thread becomes a drain
   leader, so multiple ``generate_batch`` calls run in parallel on pooled
   model clones while cache/dedup/stats stay centralized in the scheduler;
 * :class:`ProcessExecutor` — shard contiguous plan chunks across a
   ``ProcessPoolExecutor``: each worker *process* owns its own scheduler and
-  model copy (the pickled engine profile), so the GIL-bound Python work of
+  model copy (the pickled scheduler profile), so the GIL-bound Python work of
   the execute stages — querying AND remapping — runs truly in parallel.
   Workers reopen the parent's SQLite-WAL response store (hardened for
-  cross-process writers), keep the parent engine's batch cap, and ship
+  cross-process writers), keep the parent scheduler's batch cap, and ship
   their per-stage and per-prompt counters back for the parent to absorb,
   so accounting stays whole-run truthful.
 
@@ -31,12 +31,12 @@ All four produce identical labels for the pure bundled backends; they differ
 only in wall-clock and in how many times the model is consulted.  Stage 4
 (label remapping) runs through :func:`_remap_plans` over every plan of an
 executed chunk at once, so resample requeries go out in *waves*: one
-:meth:`QueryEngine.requery` model batch per attempt, holding every plan
+:meth:`RequestScheduler.requery` model batch per attempt, holding every plan
 whose answer is still outside its label set (see
 :meth:`repro.core.remapping.Remapper.remap_many`).  The thread-based
-policies remap on the main thread through the main engine; in the process
+policies remap on the main thread through the main scheduler; in the process
 policy each worker remaps its own contiguous chunk with a deterministic
-engine copy.  Each plan sees the same retries either way, which preserves
+scheduler copy.  Each plan sees the same retries either way, which preserves
 the same bit-identical labels; only the grouping of model calls changes.
 """
 
@@ -56,15 +56,15 @@ from repro.core.plan import (
     ColumnPlan,
     PipelineStats,
 )
-from repro.core.querying import QueryEngine
 from repro.core.remapping import Remapper
+from repro.core.scheduler import RequestScheduler
 from repro.core.store import SQLiteResponseStore
 from repro.exceptions import ConfigurationError
 
 
 @contextmanager
 def _attributed_hits(
-    engine: QueryEngine, stats: PipelineStats, stage_name: str
+    engine: RequestScheduler, stats: PipelineStats, stage_name: str
 ) -> Iterator[None]:
     """Attribute the engine's hit-tier deltas inside the block to a stage."""
     cache_before = engine.stats.n_cache_hits
@@ -96,13 +96,13 @@ def _split_pending(
 def _remap_plans(
     plans: Sequence[ColumnPlan],
     responses: Sequence[str],
-    engine: QueryEngine,
+    engine: RequestScheduler,
     remapper: Remapper,
     stats: PipelineStats,
 ) -> list[AnnotationResult]:
     """Run stage 4 (label remapping) over plans and their first responses.
 
-    Resample retries go out in waves: one :meth:`QueryEngine.requery` batch
+    Resample retries go out in waves: one :meth:`RequestScheduler.requery` batch
     per attempt, holding every plan still outside its label set.  The stage
     counts one call per plan, and its hits are attributed to the remap stage.
     """
@@ -157,7 +157,7 @@ class Executor(ABC):
     def execute(
         self,
         plans: Sequence[ColumnPlan],
-        engine: QueryEngine,
+        engine: RequestScheduler,
         remapper: Remapper,
         stats: PipelineStats,
     ) -> list[AnnotationResult]:
@@ -168,7 +168,7 @@ class Executor(ABC):
 class BatchedExecutor(Executor):
     """Submission policy: submit a chunk of plans, then await the chunk.
 
-    Pending prompts are issued through :meth:`QueryEngine.query_batch` in
+    Pending prompts are issued through :meth:`RequestScheduler.query_batch` in
     chunks of ``batch_size`` (all at once when ``None``); the scheduler
     resolves cache/store hits at submission, coalesces duplicates in flight,
     and drains each chunk as one ``generate_batch`` call.  Each chunk is
@@ -189,7 +189,7 @@ class BatchedExecutor(Executor):
     def execute(
         self,
         plans: Sequence[ColumnPlan],
-        engine: QueryEngine,
+        engine: RequestScheduler,
         remapper: Remapper,
         stats: PipelineStats,
     ) -> list[AnnotationResult]:
@@ -216,7 +216,7 @@ class BatchedExecutor(Executor):
 class ConcurrentExecutor(Executor):
     """Submission policy: submit plans from ``workers`` threads at once.
 
-    Pending prompts go down :meth:`QueryEngine.query_batch_fanout`: each
+    Pending prompts go down :meth:`RequestScheduler.query_batch_fanout`: each
     thread submits a contiguous slice into the shared scheduler and then
     drains it, so several ``generate_batch`` calls run in parallel on pooled
     :meth:`LanguageModel.clone_for_worker` model clones while dedup, caching
@@ -243,7 +243,7 @@ class ConcurrentExecutor(Executor):
     def execute(
         self,
         plans: Sequence[ColumnPlan],
-        engine: QueryEngine,
+        engine: RequestScheduler,
         remapper: Remapper,
         stats: PipelineStats,
     ) -> list[AnnotationResult]:
@@ -269,11 +269,11 @@ class ConcurrentExecutor(Executor):
 # The worker functions below are module-level on purpose: a worker process
 # imports them by reference, so they (and everything they close over) must be
 # picklable.  Per-worker state lives in module globals initialised once per
-# process by ``_process_worker_init`` — each worker owns a full QueryEngine
-# (scheduler + LRU + model copy) and a store handle, built from the pickled
-# engine profile shipped through the pool initializer.
+# process by ``_process_worker_init`` — each worker owns a full
+# RequestScheduler (LRU + model copy) and a store handle, built from the
+# pickled scheduler profile shipped through the pool initializer.
 
-_WORKER_ENGINE: QueryEngine | None = None
+_WORKER_ENGINE: RequestScheduler | None = None
 _WORKER_REMAPPER: Remapper | None = None
 
 
@@ -290,13 +290,13 @@ def _process_worker_init(spec_bytes: bytes) -> None:
     store = None
     if spec["store_path"] is not None:
         store = SQLiteResponseStore(spec["store_path"])
-    _WORKER_ENGINE = QueryEngine(
+    _WORKER_ENGINE = RequestScheduler(
         model=spec["model"],
         params=spec["params"],
         cache_size=spec["cache_size"],
         store=store,
         max_batch_size=spec["max_batch_size"],
-        max_batch_wait=spec["max_batch_wait"],
+        max_wait=spec["max_wait"],
         queue_depth=spec["queue_depth"],
     )
     _WORKER_REMAPPER = spec["remapper"]
@@ -334,9 +334,9 @@ class ProcessExecutor(Executor):
     of Python work (query bookkeeping, response remapping, resample retries)
     still serialises on the parent's GIL.  This policy escapes it: pending
     plans are split into contiguous chunks and shipped to a
-    ``ProcessPoolExecutor`` whose workers each own a full engine (scheduler
-    with the parent's ``max_batch_size`` / ``max_batch_wait`` /
-    ``queue_depth``, LRU, model copy unpickled from the parent's) and their
+    ``ProcessPoolExecutor`` whose workers each own a full scheduler (the
+    parent's ``max_batch_size`` / ``max_wait`` / ``queue_depth``, an LRU,
+    a model copy unpickled from the parent's) and their
     own connection to the shared SQLite-WAL response store.  Each worker
     queries its chunk as one batch and remaps it at once (resample retries
     in one batch per attempt, as in :class:`BatchedExecutor`); the parent merges
@@ -352,7 +352,7 @@ class ProcessExecutor(Executor):
     calls).
 
     The pool is created lazily on first use and *reused* across ``execute``
-    calls with the same engine profile (critical for ``annotate_stream``,
+    calls with the same scheduler profile (critical for ``annotate_stream``,
     which executes chunk after chunk) — call :meth:`close` or use the
     executor as a context manager to release it.  A model or remapper that
     cannot be pickled across processes, or an attached store that is not a
@@ -383,8 +383,8 @@ class ProcessExecutor(Executor):
             )
 
     # ------------------------------------------------------- pool lifecycle
-    def _worker_spec(self, engine: QueryEngine, remapper: Remapper) -> bytes:
-        """Pickle the engine profile a worker needs to rebuild its own.
+    def _worker_spec(self, engine: RequestScheduler, remapper: Remapper) -> bytes:
+        """Pickle the scheduler profile a worker needs to rebuild its own.
 
         Workers reopen the parent's SQLite store by path; any other attached
         store cannot be shared across processes, so it is a configuration
@@ -399,15 +399,14 @@ class ProcessExecutor(Executor):
                 "detach the store, or choose a thread-based executor "
                 "(sequential/batched/concurrent)."
             )
-        scheduler = engine.scheduler
         spec = {
             "model": engine.model,
             "params": engine.params,
             "cache_size": engine.cache_size,
             "store_path": str(store.path) if store is not None else None,
-            "max_batch_size": scheduler.max_batch_size,
-            "max_batch_wait": scheduler.max_wait,
-            "queue_depth": scheduler.queue_depth,
+            "max_batch_size": engine.max_batch_size,
+            "max_wait": engine.max_wait,
+            "queue_depth": engine.queue_depth,
             "remapper": remapper,
         }
         try:
@@ -455,7 +454,7 @@ class ProcessExecutor(Executor):
     def execute(
         self,
         plans: Sequence[ColumnPlan],
-        engine: QueryEngine,
+        engine: RequestScheduler,
         remapper: Remapper,
         stats: PipelineStats,
     ) -> list[AnnotationResult]:
@@ -479,7 +478,7 @@ class ProcessExecutor(Executor):
             # Absorb after every chunk resolved, so a failed worker leaves
             # the parent's counters untouched rather than half-merged.
             for delta in deltas:
-                engine.scheduler.absorb_stats(delta)
+                engine.absorb_stats(delta)
         return _assemble(plans, produced)
 
 

@@ -10,9 +10,10 @@ Since the plan/execute refactor the stages live in exactly two places:
   :class:`repro.core.plan.ColumnPlan` per column (sample → rule
   short-circuit → features → serialized prompt);
 * a pluggable :class:`repro.core.executor.Executor` carries out the pending
-  query + remap work as a submission policy over the engine's shared
-  request scheduler — one at a time, a batch at a time, or from several
-  submitter threads at once (see :mod:`repro.core.scheduler`).
+  query + remap work as a submission policy over the annotator's request
+  scheduler (its ``engine``) — a batch at a time (one column at a time is
+  a batch of one), from several submitter threads at once, or across worker
+  processes (see :mod:`repro.core.scheduler`).
 
 Every public entry point is a thin wrapper over that split:
 
@@ -54,10 +55,10 @@ import numpy as np
 from repro.core.executor import BatchedExecutor, Executor, resolve_executor
 from repro.core.features import FeatureConfig
 from repro.core.plan import AnnotationResult, ColumnPlan, ColumnPlanner, PipelineStats
-from repro.core.querying import QueryEngine
 from repro.core.remapping import Remapper, get_remapper
 from repro.core.rules import RuleSet
 from repro.core.sampling import ContextSampler, get_sampler
+from repro.core.scheduler import RequestScheduler
 from repro.core.serialization import PromptSerializer, PromptStyle
 from repro.core.table import Column, Table
 from repro.exceptions import ConfigurationError
@@ -143,19 +144,19 @@ class ArcheTypeConfig:
 class ArcheType:
     """Four-stage LLM column type annotator (Figure 1).
 
-    ``engine`` injects a shared :class:`QueryEngine` instead of building a
-    private one: the annotation service constructs one engine (one scheduler,
-    one LRU cache, one store tier, one stats ledger) at startup and a cheap
+    ``engine`` injects a shared :class:`RequestScheduler` instead of building
+    a private one: the annotation service constructs one scheduler (one LRU
+    cache, one store tier, one stats ledger) at startup and a cheap
     fresh annotator per request over it, so concurrent requests coalesce into
     cross-request model batches and dedup through the shared tiers while each
     request keeps its own planner RNG — labels stay bit-identical to a
     sequential run regardless of concurrency.  With ``engine`` given, the
-    annotator uses the engine's model and generation parameters; the config's
+    annotator uses its model and generation parameters; the config's
     ``model``/``generation`` and scheduler knobs are ignored.
     """
 
     def __init__(
-        self, config: ArcheTypeConfig, *, engine: QueryEngine | None = None
+        self, config: ArcheTypeConfig, *, engine: RequestScheduler | None = None
     ) -> None:
         if not config.label_set:
             raise ConfigurationError("ArcheTypeConfig.label_set must be non-empty")
@@ -191,12 +192,12 @@ class ArcheType:
         if engine is not None:
             self.engine = engine
         else:
-            self.engine = QueryEngine(
+            self.engine = RequestScheduler(
                 model=self.model,
                 params=config.generation,
                 cache_size=config.query_cache_size,
                 max_batch_size=config.max_batch_size,
-                max_batch_wait=config.max_batch_wait,
+                max_wait=config.max_batch_wait,
                 queue_depth=config.queue_depth,
             )
         self.stats = PipelineStats()
@@ -278,7 +279,7 @@ class ArcheType:
         column first, in column order; the selected executor then carries out
         the pending query + remap work.  With the default ``executor=None``
         the historical ``batch_size`` semantics apply: prompts are issued
-        through :meth:`QueryEngine.query_batch` in chunks of ``batch_size``
+        through :meth:`RequestScheduler.query_batch` in chunks of ``batch_size``
         (all at once when ``None``), and ``batch_size=0`` falls back to the
         sequential column-at-a-time loop — the escape hatch for stateful
         models whose answers depend on call order (pair it with
@@ -527,7 +528,7 @@ class ArcheType:
     @property
     def scheduler_stats(self) -> dict[str, object]:
         """The request scheduler's telemetry (JSON-serializable snapshot)."""
-        return self.engine.scheduler.stats_snapshot()
+        return self.engine.stats_snapshot()
 
     @property
     def pipeline_stats(self) -> PipelineStats:

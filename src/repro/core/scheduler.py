@@ -1,14 +1,15 @@
 """The request scheduler: the single core of the model-query hot path.
 
-Every way this codebase talks to a language model — one-off queries, batched
-annotation, thread-pool fan-out, streaming evaluation, (eventually) a long-
-running annotation service — used to re-implement the same pipeline of
-concerns: consult the LRU cache, consult the persistent store, deduplicate
-identical pending prompts, batch what is left into ``generate_batch`` calls,
-and keep the cost accounting truthful.  :class:`RequestScheduler` owns that
-pipeline exactly once, and everything else (the :class:`repro.core.querying.
-QueryEngine` façade, the executors, the experiment runner) reduces to a
-*submission policy*: how many requests to submit before awaiting them.
+Every way this codebase talks to a language model — batched annotation,
+thread-pool fan-out, streaming evaluation, the annotation service — goes
+through one pipeline of concerns: consult the LRU cache, consult the
+persistent store, deduplicate identical pending prompts, batch what is left
+into ``generate_batch`` calls, and keep the cost accounting truthful.
+:class:`RequestScheduler` owns that pipeline exactly once; it is also the
+querying stage's ``QueryEngine`` (:mod:`repro.core.querying`).  Its entry
+points (``query_batch``, ``query_batch_fanout``, ``requery``), like the
+executors above them, are *submission policies*: how many requests to
+submit before awaiting them.
 
 The request lifecycle::
 
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError, SchedulerSaturatedError, StoreError
-from repro.llm.base import GenerationParams, LanguageModel
+from repro.llm.base import BatchParams, GenerationParams, LanguageModel, broadcast_params
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.store import ResponseStore
@@ -88,7 +89,7 @@ RequestKey = tuple[str, GenerationParams]
 
 @dataclass
 class QueryStats:
-    """Per-prompt cost counters shared by a scheduler and its engine façade.
+    """Per-prompt cost counters of one scheduler.
 
     ``n_prompts`` counts every requested prompt; ``n_queries`` counts the
     prompts that actually reached the model.  The difference is split by the
@@ -280,9 +281,6 @@ class RequestScheduler:
     store:
         Optional persistent tier below the LRU (settable afterwards; the
         caller owns its lifetime).
-    stats:
-        The :class:`QueryStats` to account into (shared with the engine
-        façade); a fresh instance by default.
     max_batch_size:
         Per-drain cap on batch size (``None`` = the leader takes everything
         queued, which keeps one ``query_batch`` call one model batch).
@@ -305,7 +303,6 @@ class RequestScheduler:
         *,
         cache_size: int = 4096,
         store: "ResponseStore | None" = None,
-        stats: QueryStats | None = None,
         max_batch_size: int | None = None,
         max_wait: float = 0.0,
         queue_depth: int | None = None,
@@ -315,7 +312,7 @@ class RequestScheduler:
         self.params = params if params is not None else GenerationParams()
         self.cache_size = cache_size
         self.store = store
-        self.stats = stats if stats is not None else QueryStats()
+        self.stats = QueryStats()
         self.scheduler_stats = SchedulerStats()
         self._lock = threading.Lock()
         # The microbatching knobs are mutable at runtime (configure()), so
@@ -472,10 +469,10 @@ class RequestScheduler:
         futures resolve; once the queue is empty it blocks on the remaining
         futures, which a concurrent leader's in-progress batch will resolve.
         ``batch_limit`` further caps the drains performed by this call: the
-        smaller of it and the scheduler's ``max_batch_size`` applies (the
-        fan-out façade uses it to keep several leaders generating
-        concurrently).  Raises the first failed future's exception, exactly
-        as the model call would have raised.
+        smaller of it and the scheduler's ``max_batch_size`` applies
+        (:meth:`query_batch_fanout` uses it to keep several leaders
+        generating concurrently).  Raises the first failed future's
+        exception, exactly as the model call would have raised.
         """
         for future in futures:
             while not future.done():
@@ -705,39 +702,68 @@ class RequestScheduler:
             if batch:
                 self._generate(batch)
 
-    # -------------------------------------------------------------- fan-out
-    def run_wave(
+    # ------------------------------------------------------------- querying
+    def query_batch(
         self,
-        keys: Sequence[RequestKey],
-        submitters: int = 4,
-        batch_limit: int | None = None,
+        prompts: Sequence[str],
+        params: BatchParams = None,
     ) -> list[str]:
-        """Submit ``keys`` from ``submitters`` threads and await them all.
+        """Send a batch of prompts through the model's set-at-a-time path.
 
-        The multi-submitter façade behind ``query_batch_fanout`` and the
-        concurrent executor: each thread submits a contiguous slice and then
-        wait-drains (with ``batch_limit`` bounding its drains, so several
-        leaders generate concurrently).  Responses come back in ``keys``
-        order; the first failure re-raises in the calling thread.
+        Submit-all-then-wait: cache and store hits resolve at submission,
+        duplicates within the batch coalesce onto one in-flight request, and
+        the remaining unique ``(prompt, params)`` pairs drain in one
+        :meth:`LanguageModel.generate_batch` call, in first-occurrence
+        order; a lone prompt costs one model call and no scheduling latency.
+        Responses come back in the order of ``prompts``.
         """
+        if not prompts:
+            return []
+        keys = zip(prompts, broadcast_params(prompts, params))
+        futures = [self.submit(prompt, p, on_full="drain") for prompt, p in keys]
+        return self.wait(futures)
+
+    def query_batch_fanout(
+        self,
+        prompts: Sequence[str],
+        params: BatchParams = None,
+        workers: int = 4,
+        chunk_size: int | None = None,
+    ) -> list[str]:
+        """:meth:`query_batch`, submitted concurrently from ``workers`` threads.
+
+        Each thread submits a contiguous slice, then drains the shared queue
+        in batches of at most ``chunk_size`` (default: an even split over
+        ``workers``; never above ``max_batch_size``), so several
+        ``generate_batch`` calls run in parallel on pooled
+        :meth:`LanguageModel.clone_for_worker` clones.  Sound for backends
+        that are pure functions of ``(prompt, params)`` or whose clone hook
+        returns an independent copy: responses (in ``prompts`` order) and
+        bookkeeping then match :meth:`query_batch`, timing-dependent hit-tier
+        attribution aside.  With caching disabled every occurrence is
+        submitted and mapped back positionally.  The first failure re-raises
+        in the calling thread.
+        """
+        keys = list(zip(prompts, broadcast_params(prompts, params)))
         if not keys:
             return []
-        n_submitters = max(1, min(submitters, len(keys)))
-        if n_submitters == 1:
-            futures = [self.submit(prompt, params, on_full="drain")
-                       for prompt, params in keys]
+        n_workers = max(1, min(workers, len(keys)))
+        share = -(-len(keys) // n_workers)  # ceil division
+        batch_limit = chunk_size or share
+        if n_workers == 1:
+            futures = [self.submit(prompt, prompt_params, on_full="drain")
+                       for prompt, prompt_params in keys]
             return self.wait(futures, batch_limit)
 
-        chunk = -(-len(keys) // n_submitters)  # ceil division
-        slices = [range(start, min(start + chunk, len(keys)))
-                  for start in range(0, len(keys), chunk)]
+        slices = [range(start, min(start + share, len(keys)))
+                  for start in range(0, len(keys), share)]
         futures: list["Future[str] | None"] = [None] * len(keys)
 
         def drive(indices: range) -> None:
             own: list["Future[str]"] = []
             for index in indices:
-                prompt, params = keys[index]
-                future = self.submit(prompt, params, on_full="drain")
+                prompt, prompt_params = keys[index]
+                future = self.submit(prompt, prompt_params, on_full="drain")
                 futures[index] = future
                 own.append(future)
             # Failures travel on the shared futures; the gather below
@@ -754,6 +780,25 @@ class RequestScheduler:
         for thread in threads:
             thread.join()
         return [future.result() for future in futures]  # type: ignore[union-attr]
+
+    def requery(self, prompts: Sequence[str], attempt: int) -> list[str]:
+        """One resample wave: re-ask ``prompts`` at permuted hyperparameters.
+
+        Remap-resample (Algorithm 3) calls this once per attempt with every
+        prompt whose answer is still outside its label set.  It is
+        :meth:`query_batch` at ``params.permuted(attempt)``: submit all, then
+        wait, so the wave drains as one ``generate_batch`` call, duplicates
+        (and concurrent retries of the same ``(prompt, attempt)``) coalesce
+        in flight, and completions are cached and persisted like any other.
+        A bare ``str`` is rejected rather than re-asked character by
+        character.
+        """
+        if isinstance(prompts, str):
+            raise TypeError(
+                "requery takes a sequence of prompts (one resample wave), "
+                "not a single str"
+            )
+        return self.query_batch(prompts, self.params.permuted(attempt))
 
     # -------------------------------------------------------------- caching
     def _cache_get(self, key: RequestKey) -> str | None:  # holds: _lock

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 from repro.core.pipeline import AnnotationResult
 from repro.core.plan import stage_rows_from_snapshot
 from repro.core.remapping import NULL_LABEL
+from repro.core.scheduler import RequestScheduler
 from repro.core.store import ResponseStore, RunManifest, open_store
 from repro.core.table import Column, Table
 from repro.datasets.base import Benchmark, BenchmarkColumn
@@ -290,7 +291,6 @@ class ExperimentRunner:
             stats = getattr(annotator, "pipeline_stats", None)
             engine = getattr(annotator, "engine", None)
             engine_stats = getattr(engine, "stats", None)
-            scheduler = getattr(engine, "scheduler", None)
             result = EvaluationResult(
                 benchmark_name=benchmark.name,
                 method_name=method_name,
@@ -312,7 +312,8 @@ class ExperimentRunner:
                     engine_stats.n_inflight_hits if engine_stats is not None else None
                 ),
                 scheduler=(
-                    scheduler.stats_snapshot() if scheduler is not None else None
+                    engine.stats_snapshot()
+                    if isinstance(engine, RequestScheduler) else None
                 ),
                 run_id=manifest.run_id if manifest is not None else None,
             )
@@ -335,8 +336,8 @@ class ExperimentRunner:
         """
         if self.max_batch_wait is None and self.queue_depth is None:
             return
-        scheduler = getattr(getattr(annotator, "engine", None), "scheduler", None)
-        if scheduler is None:
+        engine = getattr(annotator, "engine", None)
+        if not isinstance(engine, RequestScheduler):
             raise ConfigurationError(
                 "max_batch_wait/queue_depth require a scheduler-backed "
                 f"annotator; {type(annotator).__name__} has none"
@@ -346,7 +347,7 @@ class ExperimentRunner:
             kwargs["max_wait"] = self.max_batch_wait
         if self.queue_depth is not None:
             kwargs["queue_depth"] = self.queue_depth
-        scheduler.configure(**kwargs)
+        engine.configure(**kwargs)
 
     def _open_persistence(
         self,

@@ -1,11 +1,11 @@
 """Endpoint handlers and the shared state of the annotation service.
 
 :class:`ServiceState` is the composition root: it owns the ONE model, the
-ONE :class:`~repro.core.querying.QueryEngine` (and therefore the one
-scheduler LRU + persistent store + in-flight dedup set), the admission
+ONE :class:`~repro.core.scheduler.RequestScheduler` (and therefore the one
+LRU + persistent store + in-flight dedup set), the admission
 controller, and the worker thread pool.  Requests are cheap on top of that —
 each one builds a fresh :class:`~repro.core.pipeline.ArcheType` *over the
-shared engine*, which re-seeds the planner RNG from the request seed, so a
+shared scheduler*, which re-seeds the planner RNG from the request seed, so a
 column's label is a pure function of ``(column, label_set, seed,
 sample_size)`` and never of what other tenants are doing concurrently.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import AsyncIterator, Awaitable, Callable, Union
 
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
-from repro.core.querying import QueryEngine
+from repro.core.scheduler import RequestScheduler
 from repro.core.store import ResponseStore, open_store
 from repro.exceptions import (
     ConfigurationError,
@@ -79,11 +79,11 @@ class ServiceState:
                     "latency (--model-latency)"
                 )
             model.latency = config.model_latency
-        self.engine = QueryEngine(
+        self.engine = RequestScheduler(
             model,
             cache_size=config.query_cache_size,
             max_batch_size=config.max_batch_size,
-            max_batch_wait=config.max_batch_wait,
+            max_wait=config.max_batch_wait,
             queue_depth=config.queue_depth,
         )
         self.store: ResponseStore | None = None
@@ -122,11 +122,11 @@ class ServiceState:
     # ------------------------------------------------------------ lifecycle
     def start(self) -> None:
         """Start the scheduler's background drainers."""
-        self.engine.scheduler.start_drainers(self.config.drainers)
+        self.engine.start_drainers(self.config.drainers)
 
     def shutdown(self) -> None:
         """Stop drainers, retire the worker pool, close the store."""
-        self.engine.scheduler.stop_drainers()
+        self.engine.stop_drainers()
         self.pool.shutdown(wait=True)
         if self.store is not None:
             self.store.close()
@@ -223,7 +223,7 @@ class ServiceState:
             "service": service,
             "config": self.config.summary(),
             "admission": self.admission.snapshot(),
-            "scheduler": self.engine.scheduler.stats_snapshot(),
+            "scheduler": self.engine.stats_snapshot(),
             "queries": {
                 "n_prompts": stats.n_prompts,
                 "n_queries": stats.n_queries,

@@ -305,7 +305,7 @@ def _check_case(case: Case, directory: Path) -> None:
         annotators, results, error = run()
         if isinstance(store, FailingStore) and store.failed:
             assert isinstance(error, StoreError), repr(error)
-            assert annotators[0].engine.scheduler.queue_len == 0
+            assert annotators[0].engine.queue_len == 0
             return
         assert error is None, repr(error)
         assert _outcomes(results) == _outcomes(reference)

@@ -35,14 +35,14 @@ class TestQueryEngine:
     def test_query_uses_default_params(self):
         model = EchoModel()
         engine = QueryEngine(model=model)
-        assert engine.query("hello") == "echo:0"
+        assert engine.query_batch(["hello"])[0] == "echo:0"
         assert engine.stats.n_queries == 1
         assert model.calls[0][1].temperature == 0.0
 
     def test_requery_permutes_parameters(self):
         model = EchoModel()
         engine = QueryEngine(model=model)
-        engine.query("hello")
+        engine.query_batch(["hello"])
         engine.requery(["hello"], attempt=2)
         _, permuted = model.calls[1]
         assert permuted.resample_index == 2
@@ -52,7 +52,7 @@ class TestQueryEngine:
     def test_explicit_params_override_defaults(self):
         model = EchoModel()
         engine = QueryEngine(model=model, params=GenerationParams(temperature=0.5))
-        engine.query("x", GenerationParams(temperature=1.5))
+        engine.query_batch(["x"], GenerationParams(temperature=1.5))
         assert model.calls[0][1].temperature == 1.5
 
 

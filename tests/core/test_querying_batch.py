@@ -30,8 +30,8 @@ class TestQueryCache:
     def test_repeated_prompt_hits_cache(self):
         model = CountingModel()
         engine = QueryEngine(model=model)
-        first = engine.query("hello")
-        second = engine.query("hello")
+        first = engine.query_batch(["hello"])[0]
+        second = engine.query_batch(["hello"])[0]
         assert first == second
         assert len(model.calls) == 1
         assert engine.stats.n_queries == 1
@@ -41,7 +41,7 @@ class TestQueryCache:
     def test_distinct_params_are_distinct_keys(self):
         model = CountingModel()
         engine = QueryEngine(model=model)
-        engine.query("hello")
+        engine.query_batch(["hello"])
         engine.requery(["hello"], attempt=1)
         assert len(model.calls) == 2
         assert engine.stats.n_cache_hits == 0
@@ -49,48 +49,48 @@ class TestQueryCache:
     def test_cache_disabled(self):
         model = CountingModel()
         engine = QueryEngine(model=model, cache_size=0)
-        engine.query("hello")
-        engine.query("hello")
+        engine.query_batch(["hello"])
+        engine.query_batch(["hello"])
         assert len(model.calls) == 2
         assert engine.stats.n_cache_hits == 0
 
     def test_lru_eviction_bounds_cache(self):
         model = CountingModel()
         engine = QueryEngine(model=model, cache_size=2)
-        engine.query("a")
-        engine.query("b")
-        engine.query("c")  # evicts "a"
+        engine.query_batch(["a"])
+        engine.query_batch(["b"])
+        engine.query_batch(["c"])  # evicts "a"
         assert engine.cache_len == 2
-        engine.query("a")
+        engine.query_batch(["a"])
         assert len(model.calls) == 4
 
     def test_lru_recency_updated_on_hit(self):
         model = CountingModel()
         engine = QueryEngine(model=model, cache_size=2)
-        engine.query("a")
-        engine.query("b")
-        engine.query("a")  # refresh "a"; "b" is now oldest
-        engine.query("c")  # evicts "b"
-        engine.query("a")
+        engine.query_batch(["a"])
+        engine.query_batch(["b"])
+        engine.query_batch(["a"])  # refresh "a"; "b" is now oldest
+        engine.query_batch(["c"])  # evicts "b"
+        engine.query_batch(["a"])
         assert [prompt for prompt, _ in model.calls] == ["a", "b", "c"]
 
     def test_clear_cache(self):
         model = CountingModel()
         engine = QueryEngine(model=model)
-        engine.query("a")
+        engine.query_batch(["a"])
         engine.clear_cache()
         assert engine.cache_len == 0
-        engine.query("a")
+        engine.query_batch(["a"])
         assert len(model.calls) == 2
 
     def test_hit_rate(self):
         model = CountingModel()
         engine = QueryEngine(model=model)
         assert engine.stats.hit_rate == 0.0
-        engine.query("a")
-        engine.query("a")
-        engine.query("a")
-        engine.query("b")
+        engine.query_batch(["a"])
+        engine.query_batch(["a"])
+        engine.query_batch(["a"])
+        engine.query_batch(["b"])
         assert engine.stats.hit_rate == 0.5
 
 
@@ -103,7 +103,7 @@ class TestQueryBatch:
     def test_batch_matches_sequential_responses(self):
         prompts = ["p1", "p2", "p3", "p1"]
         sequential_engine = QueryEngine(model=CountingModel(), cache_size=0)
-        sequential = [sequential_engine.query(p) for p in prompts]
+        sequential = [sequential_engine.query_batch([p])[0] for p in prompts]
         batched = QueryEngine(model=CountingModel()).query_batch(prompts)
         assert batched == sequential
 
@@ -152,5 +152,5 @@ class TestQueryBatch:
         model = CountingModel()
         engine = QueryEngine(model=model)
         engine.query_batch(["x"])
-        assert engine.query("x") == "ans:x:0"
+        assert engine.query_batch(["x"])[0] == "ans:x:0"
         assert len(model.calls) == 1

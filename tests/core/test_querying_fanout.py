@@ -59,7 +59,7 @@ class TestQueryBatchFanout:
     def test_fanout_deduplicates_against_the_cache(self):
         model = RecordingModel()
         engine = QueryEngine(model=model, cache_size=64)
-        engine.query("p0")
+        engine.query_batch(["p0"])
         engine.query_batch_fanout(["p0", "p1", "p1", "p2"], workers=2)
         called = [prompt for prompt, _ in model.calls]
         assert called.count("p0") == 1  # served from cache on the fan-out
@@ -112,14 +112,14 @@ class TestQueryBatchFanout:
 class TestResetStats:
     def test_reset_stats_zeroes_counters_keeps_cache(self):
         engine = QueryEngine(model=get_model("gpt"), cache_size=64)
-        engine.query("a prompt")
-        engine.query("a prompt")
+        engine.query_batch(["a prompt"])
+        engine.query_batch(["a prompt"])
         assert engine.stats.n_queries == 1
         assert engine.stats.n_cache_hits == 1
         engine.reset_stats()
         assert engine.stats.n_queries == 0
         assert engine.stats.n_cache_hits == 0
         assert engine.cache_len == 1
-        engine.query("a prompt")
+        engine.query_batch(["a prompt"])
         assert engine.stats.n_queries == 0  # still served from the kept cache
         assert engine.stats.n_cache_hits == 1

@@ -39,34 +39,34 @@ class TestStoreTier:
     def test_miss_writes_through_hit_skips_model(self, store):
         model = CountingModel()
         engine = QueryEngine(model=model, store=store)
-        assert engine.query("p1") == "answer:p1:0"
+        assert engine.query_batch(["p1"])[0] == "answer:p1:0"
         assert model.calls == 1
         assert len(store) == 1
 
         # A second engine over the same store: no LRU, disk answers.
         cold_model = CountingModel()
         warm = QueryEngine(model=cold_model, store=store)
-        assert warm.query("p1") == "answer:p1:0"
+        assert warm.query_batch(["p1"])[0] == "answer:p1:0"
         assert cold_model.calls == 0
         assert warm.stats.n_store_hits == 1
         assert warm.stats.n_queries == 0
 
     def test_store_hit_promotes_into_lru(self, store):
-        QueryEngine(model=CountingModel(), store=store).query("p1")
+        QueryEngine(model=CountingModel(), store=store).query_batch(["p1"])
         warm = QueryEngine(model=CountingModel(), store=store)
-        warm.query("p1")
+        warm.query_batch(["p1"])
         assert warm.cache_len == 1
-        warm.query("p1")  # second time must be an LRU hit, not a disk read
+        warm.query_batch(["p1"])  # second time must be an LRU hit, not a disk read
         assert warm.stats.n_store_hits == 1
         assert warm.stats.n_cache_hits == 1
 
     def test_survives_process_restart(self, store, tmp_path):
-        QueryEngine(model=CountingModel(), store=store).query("p1")
+        QueryEngine(model=CountingModel(), store=store).query_batch(["p1"])
         reopened = _reopened(store, tmp_path)
         try:
             model = CountingModel()
             engine = QueryEngine(model=model, store=reopened)
-            assert engine.query("p1") == "answer:p1:0"
+            assert engine.query_batch(["p1"])[0] == "answer:p1:0"
             assert model.calls == 0
         finally:
             reopened.close()
@@ -87,7 +87,7 @@ class TestStoreTier:
         assert warm.stats.n_queries == 1
 
     def test_batch_duplicates_of_store_hit_count_once(self, store):
-        QueryEngine(model=CountingModel(), store=store).query("a")
+        QueryEngine(model=CountingModel(), store=store).query_batch(["a"])
         warm = QueryEngine(model=CountingModel(), store=store)
         warm.query_batch(["a", "a", "a"])
         # One disk read for the unique key, LRU hits for the duplicates.
@@ -104,7 +104,7 @@ class TestStoreTier:
     def test_resample_params_are_stored_separately(self, store):
         model = CountingModel()
         engine = QueryEngine(model=model, store=store)
-        engine.query("p")
+        engine.query_batch(["p"])
         engine.requery(["p"], attempt=1)
         assert len(store) == 2
         warm = QueryEngine(model=CountingModel(), store=store)
@@ -117,25 +117,25 @@ class TestStoreTier:
         engine = QueryEngine(model=model, store=store, cache_size=0)
         # The stateful-model escape hatch must ignore the disk tier entirely:
         # no reads (call-order semantics) and no writes.
-        assert engine.query("p") == "answer:p:0"
+        assert engine.query_batch(["p"])[0] == "answer:p:0"
         assert engine.query_batch(["q", "q"]) == ["answer:q:0", "answer:q:0"]
         assert model.calls == 3
         assert engine.stats.n_store_hits == 0
         assert store.get("q", GenerationParams()) is None
 
     def test_hit_rate_counts_both_tiers(self, store):
-        QueryEngine(model=CountingModel(), store=store).query("p")
+        QueryEngine(model=CountingModel(), store=store).query_batch(["p"])
         warm = QueryEngine(model=CountingModel(), store=store)
-        warm.query("p")   # store hit
-        warm.query("p")   # LRU hit
-        warm.query("new")  # miss
+        warm.query_batch(["p"])   # store hit
+        warm.query_batch(["p"])   # LRU hit
+        warm.query_batch(["new"])  # miss
         assert warm.stats.n_hits == 2
         assert warm.stats.hit_rate == pytest.approx(2 / 3)
 
     def test_reset_stats_keeps_store_and_counters_restart(self, store):
         model = CountingModel()
         engine = QueryEngine(model=model, store=store)
-        engine.query("p")
+        engine.query_batch(["p"])
         engine.reset_stats()
         assert engine.stats.n_store_hits == 0
         assert len(store) == 1

@@ -236,7 +236,7 @@ class TestFailurePropagation:
         engine = QueryEngine(model=ExplodingModel())
         with pytest.raises(ValueError, match="cannot answer"):
             engine.query_batch(["ok1", "boom", "ok2"])
-        assert engine.query("fine") == "ans:fine:0"
+        assert engine.query_batch(["fine"])[0] == "ans:fine:0"
 
     def test_miscounting_backend_fails_loudly(self):
         class ShortModel(CountingModel):
@@ -286,8 +286,8 @@ class TestMicrobatching:
     def test_stats_snapshot_is_json_safe(self):
         engine = QueryEngine(model=CountingModel())
         engine.query_batch(["a", "b", "c"])
-        engine.query("d")
-        snapshot = engine.scheduler.stats_snapshot()
+        engine.query_batch(["d"])
+        snapshot = engine.stats_snapshot()
         assert snapshot["batch_size_histogram"] == {"3": 1, "1": 1}
         assert snapshot["n_batches"] == 2
         round_tripped = json.loads(json.dumps(snapshot))
@@ -298,7 +298,7 @@ class TestMicrobatching:
         engine.query_batch(["a", "b"])
         assert engine.scheduler_stats.n_batches == 1
         engine.reset_stats()
-        snapshot = engine.scheduler.stats_snapshot()
+        snapshot = engine.stats_snapshot()
         assert snapshot["n_batches"] == 0
         assert snapshot["batch_size_histogram"] == {}
         assert engine.cache_len == 2  # the cache survives, as for QueryStats
@@ -310,7 +310,7 @@ class TestRequeryScheduling:
     def test_requery_goes_through_the_scheduler(self):
         model = CountingModel()
         engine = QueryEngine(model=model)
-        engine.query("p")
+        engine.query_batch(["p"])
         engine.requery(["p"], attempt=1)
         # Both calls drained through generate_batch — the scheduler path —
         # not a direct generate() side door.
