@@ -95,7 +95,8 @@ class QueryStats:
     prompts that actually reached the model.  The difference is split by the
     tier that absorbed it: ``n_cache_hits`` (LRU), ``n_store_hits`` (disk) and
     ``n_inflight_hits`` (coalesced onto an identical pending request).
-    ``n_batches`` counts ``generate_batch`` calls issued by the microbatcher.
+    ``n_batches`` counts ``generate_batch`` calls issued by the microbatcher
+    (worker processes' batches included, once absorbed).
     """
 
     n_queries: int = 0
@@ -194,7 +195,6 @@ class SchedulerStats:
     n_submitted: int = 0
     n_enqueued: int = 0
     n_coalesced: int = 0
-    n_batches: int = 0
     n_cross_request_batches: int = 0
     max_queue_depth: int = 0
     #: Histogram of drained batch sizes.  Keys are stringified sizes so the
@@ -202,19 +202,19 @@ class SchedulerStats:
     batch_sizes: dict[str, int] = field(default_factory=dict)
 
     def record_batch(self, size: int, n_submitters: int, coalesced: bool) -> None:
-        self.n_batches += 1
         key = str(size)
         self.batch_sizes[key] = self.batch_sizes.get(key, 0) + 1
         if n_submitters > 1 or coalesced:
             self.n_cross_request_batches += 1
 
-    def snapshot(self) -> dict[str, object]:
-        """A JSON-serializable copy of every counter."""
+    def snapshot(self, n_batches: int) -> dict[str, object]:
+        """A JSON-serializable copy of every counter, plus ``n_batches``
+        (which :class:`QueryStats` keeps)."""
         return {
             "n_submitted": self.n_submitted,
             "n_enqueued": self.n_enqueued,
             "n_coalesced": self.n_coalesced,
-            "n_batches": self.n_batches,
+            "n_batches": n_batches,
             "n_cross_request_batches": self.n_cross_request_batches,
             "max_queue_depth": self.max_queue_depth,
             "batch_size_histogram": {
@@ -227,7 +227,6 @@ class SchedulerStats:
         self.n_submitted = 0
         self.n_enqueued = 0
         self.n_coalesced = 0
-        self.n_batches = 0
         self.n_cross_request_batches = 0
         self.max_queue_depth = 0
         self.batch_sizes: dict[str, int] = {}
@@ -848,4 +847,4 @@ class RequestScheduler:
     def stats_snapshot(self) -> dict[str, object]:
         """The scheduler telemetry as a JSON-serializable dict."""
         with self._lock:
-            return self.scheduler_stats.snapshot()
+            return self.scheduler_stats.snapshot(self.stats.n_batches)

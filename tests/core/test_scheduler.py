@@ -296,7 +296,7 @@ class TestMicrobatching:
     def test_reset_stats_clears_scheduler_telemetry(self):
         engine = QueryEngine(model=CountingModel())
         engine.query_batch(["a", "b"])
-        assert engine.scheduler_stats.n_batches == 1
+        assert engine.stats.n_batches == 1
         engine.reset_stats()
         snapshot = engine.stats_snapshot()
         assert snapshot["n_batches"] == 0

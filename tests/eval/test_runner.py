@@ -9,6 +9,7 @@ from repro.core.pipeline import AnnotationResult
 from repro.core.remapping import NULL_LABEL
 from repro.core.table import Column, Table
 from repro.datasets.base import Benchmark, BenchmarkColumn
+from repro.datasets.registry import load_benchmark
 from repro.eval.reporting import format_score, format_stage_stats, format_table
 from repro.eval.runner import EvaluationResult, ExperimentRunner
 from repro.exceptions import ConfigurationError
@@ -145,6 +146,16 @@ class TestRunnerDrives:
         # the engine's surviving cache, not billed as fresh model queries.
         assert second.n_queries == 0
         assert second.n_cache_hits is not None and second.n_cache_hits > 0
+
+    def test_process_drive_reports_worker_batches(self):
+        """Model batches drained in worker processes reach the summary row."""
+        benchmark = load_benchmark("sotab-27", n_columns=60, seed=3)
+        annotator = build_archetype_method(benchmark, model="gpt", seed=1)
+        runner = ExperimentRunner(executor="process", workers=2)
+        result = runner.evaluate(annotator, benchmark, "process")
+        assert result.summary_row()["n_batches"] == annotator.engine.stats.n_batches
+        assert annotator.engine.stats.n_batches == 2
+        assert runner.totals.n_batches == 2
 
     def test_batch_size_zero_with_conflicting_executor_rejected(self, d4_small):
         annotator = build_archetype_method(d4_small, model="gpt")
