@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import types
+from pathlib import Path
+
 from repro.core.querying import QueryEngine, QueryStats
 from repro.llm.base import GenerationParams, LanguageModel
+
+TRACING = Path(__file__).resolve().parents[2] / "perfbench" / "tracing.py"
 
 
 class EchoModel(LanguageModel):
@@ -54,6 +59,42 @@ class TestQueryEngine:
         engine = QueryEngine(model=model, params=GenerationParams(temperature=0.5))
         engine.query_batch(["x"], GenerationParams(temperature=1.5))
         assert model.calls[0][1].temperature == 1.5
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer patches layers through each owner's own
+    ``__dict__``, so the methods it wraps must stay in their class bodies."""
+
+    @staticmethod
+    def _load_tracing() -> types.ModuleType:
+        # Compiled from source, so nothing is written next to the file.
+        module = types.ModuleType("perfbench_tracing")
+        module.__file__ = str(TRACING)
+        exec(compile(TRACING.read_text(), str(TRACING), "exec"), vars(module))
+        return module
+
+    def test_requery_spans_parent_the_scheduler_spans(self):
+        tracing = self._load_tracing()
+        tracer = tracing.Tracer()
+        try:
+            tracing.install_core(tracer)
+            tracing.install_service(tracer)
+            installed = list(tracer._installed)
+            QueryEngine(model=EchoModel()).requery(["a", "b"], 1)
+        finally:
+            tracer.uninstall()
+        for owner, attr, original in installed:
+            assert owner.__dict__[attr] is original, (owner, attr)
+        names = [span[2] for span in tracer.spans]
+        assert sorted(names) == [
+            "remap.requery", "scheduler.submit", "scheduler.submit",
+            "scheduler.wait",
+        ]
+        (requery,) = [span for span in tracer.spans if span[2] == "remap.requery"]
+        assert all(
+            span[1] == requery[0]
+            for span in tracer.spans if span[2].startswith("scheduler.")
+        )
 
 
 class TestGenerationParams:
