@@ -750,8 +750,7 @@ class RequestScheduler:
         share = -(-len(keys) // n_workers)  # ceil division
         batch_limit = chunk_size or share
         if n_workers == 1:
-            futures = [self.submit(prompt, prompt_params, on_full="drain")
-                       for prompt, prompt_params in keys]
+            futures = [self.submit(prompt, p, on_full="drain") for prompt, p in keys]
             return self.wait(futures, batch_limit)
 
         slices = [range(start, min(start + share, len(keys)))
