@@ -189,6 +189,19 @@ class TestSuiteRuns:
         )
         loaded = load_results(tmp_path / "results.json")
         assert loaded.to_dict() == result.to_dict()
+        # The key order is part of the layout readers diff against.
+        payload = json.loads((tmp_path / "results.json").read_text())
+        counters = [
+            "n_queries", "n_cache_hits", "n_store_hits", "n_inflight_hits",
+            "n_coalesced", "n_batches", "n_cross_request_batches",
+        ]
+        assert list(payload["totals"]) == ["n_evaluations", *counters]
+        for entry in payload["experiments"]:
+            assert list(entry) == [
+                "name", "artifact", "title", "status", "wall_time_s",
+                "n_evaluations", *counters,
+                "metrics", "rows", "shards", "errors",
+            ]
         # A second serialize → parse cycle is byte-stable.
         loaded.write(tmp_path / "again.json")
         assert (
