@@ -52,9 +52,9 @@ def test_warm_store_rerun_issues_zero_queries(benchmark, bench_columns, tmp_path
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
             "speedup": cold_seconds / warm_seconds,
-            "model_calls_cold": cold.n_queries,
-            "model_calls_warm": warm.n_queries,
-            "store_hits_warm": warm.n_store_hits,
+            "model_calls_cold": cold.counters["n_queries"],
+            "model_calls_warm": warm.counters["n_queries"],
+            "store_hits_warm": warm.counters["n_store_hits"],
         }
 
     info = run_once(benchmark, cold_then_warm)

@@ -348,10 +348,10 @@ class ProcessExecutor(Executor):
     :class:`PipelineStats` snapshots (merged into the caller's stats; note
     ``seconds`` are summed across workers, so stage time can exceed
     wall-clock) and per-prompt :class:`QueryStats` deltas (absorbed into the
-    parent scheduler, so ``query_count``, hit tiers and ``n_batches`` cover
-    worker-side model calls).  The batch-size histogram and the coalescing,
-    cross-request and queue-depth counters describe only the parent's
-    scheduler.
+    parent scheduler, so ``query_count``, hit tiers, coalesced requests and
+    ``n_batches`` cover worker-side model calls).  The batch-size histogram
+    and the cross-request and queue-depth counters describe only the
+    parent's scheduler.
 
     The pool is created lazily on first use and *reused* across ``execute``
     calls with the same scheduler profile (critical for ``annotate_stream``,

@@ -511,16 +511,6 @@ class ArcheType:
         return self.engine.stats.n_cache_hits
 
     @property
-    def store_hit_count(self) -> int:
-        """Prompts served from the persistent store instead of the model."""
-        return self.engine.stats.n_store_hits
-
-    @property
-    def inflight_hit_count(self) -> int:
-        """Prompts coalesced onto an identical in-flight request."""
-        return self.engine.stats.n_inflight_hits
-
-    @property
     def hit_count(self) -> int:
         """Prompts served without a model call, across every tier."""
         return self.engine.stats.n_hits

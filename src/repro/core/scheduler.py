@@ -54,10 +54,12 @@ every bundled backend.  ``cache_size=0`` is the stateful-model escape hatch:
 every tier is bypassed, every submission (duplicates included) reaches the
 model in FIFO order, and completions map back positionally.
 
-:class:`QueryStats` keeps the per-prompt cost accounting (hits split by tier);
-:class:`SchedulerStats` keeps the scheduler's own telemetry (admissions,
-coalescing, the batch-size histogram, cross-request batches) for the suite
-artifacts and benchmark reports.
+:class:`QueryStats` keeps the per-prompt cost accounting: hits split by
+tier (in-flight hits are the coalesced requests) and the model batches
+drained.  :class:`SchedulerStats` keeps the scheduler's own telemetry
+(admissions, queue depth, the batch-size histogram, cross-request batches).
+:meth:`RequestScheduler.stats_snapshot` reports both for the suite artifacts,
+``/stats`` and the benchmark reports.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import time
 from collections import OrderedDict, deque
 from contextlib import suppress
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.exceptions import ConfigurationError, SchedulerSaturatedError, StoreError
@@ -95,8 +97,9 @@ class QueryStats:
     prompts that actually reached the model.  The difference is split by the
     tier that absorbed it: ``n_cache_hits`` (LRU), ``n_store_hits`` (disk) and
     ``n_inflight_hits`` (coalesced onto an identical pending request).
-    ``n_batches`` counts ``generate_batch`` calls issued by the microbatcher
-    (worker processes' batches included, once absorbed).
+    ``n_batches`` counts ``generate_batch`` calls issued by the microbatcher.
+    Every counter covers worker processes' prompts too, once absorbed
+    (:meth:`RequestScheduler.absorb_stats`).
     """
 
     n_queries: int = 0
@@ -145,16 +148,7 @@ class QueryStats:
 
     def as_dict(self) -> dict[str, int]:
         """A plain-dict copy of every counter (the ``merge`` wire format)."""
-        return {
-            "n_queries": self.n_queries,
-            "n_resamples": self.n_resamples,
-            "total_prompt_chars": self.total_prompt_chars,
-            "n_prompts": self.n_prompts,
-            "n_batches": self.n_batches,
-            "n_cache_hits": self.n_cache_hits,
-            "n_store_hits": self.n_store_hits,
-            "n_inflight_hits": self.n_inflight_hits,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def merge(self, delta: "Mapping[str, int]") -> None:
         """Fold another instance's counters (as an ``as_dict`` mapping) in.
@@ -163,22 +157,13 @@ class QueryStats:
         the parent engine, so ``query_count``/hit counters stay truthful no
         matter which process paid for the model call.
         """
-        for name in (
-            "n_queries", "n_resamples", "total_prompt_chars", "n_prompts",
-            "n_batches", "n_cache_hits", "n_store_hits", "n_inflight_hits",
-        ):
-            setattr(self, name, getattr(self, name) + int(delta.get(name, 0)))
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + int(delta.get(f.name, 0)))
 
     def reset(self) -> None:
         """Zero every counter (the cache and store, if any, are untouched)."""
-        self.n_queries = 0
-        self.n_resamples = 0
-        self.total_prompt_chars = 0
-        self.n_prompts = 0
-        self.n_batches = 0
-        self.n_cache_hits = 0
-        self.n_store_hits = 0
-        self.n_inflight_hits = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
 
 @dataclass
@@ -189,12 +174,14 @@ class SchedulerStats:
     from more than one submitter (distinct submitting threads, or a request
     that other submitters coalesced onto) — the signal that continuous
     batching is actually combining independent callers' work rather than
-    degrading to per-request model calls.
+    degrading to per-request model calls.  Coalesced requests and drained
+    batches are counted once, in :class:`QueryStats` (``n_inflight_hits``,
+    ``n_batches``), which worker processes report back into; :meth:`snapshot`
+    reports them as ``n_coalesced`` and ``n_batches``.
     """
 
     n_submitted: int = 0
     n_enqueued: int = 0
-    n_coalesced: int = 0
     n_cross_request_batches: int = 0
     max_queue_depth: int = 0
     #: Histogram of drained batch sizes.  Keys are stringified sizes so the
@@ -207,14 +194,15 @@ class SchedulerStats:
         if n_submitters > 1 or coalesced:
             self.n_cross_request_batches += 1
 
-    def snapshot(self, n_batches: int) -> dict[str, object]:
-        """A JSON-serializable copy of every counter, plus ``n_batches``
-        (which :class:`QueryStats` keeps)."""
+    def snapshot(self, queries: QueryStats) -> dict[str, object]:
+        """A JSON-serializable copy of every counter, plus two that
+        ``queries`` keeps: ``n_coalesced`` (its ``n_inflight_hits``) and
+        ``n_batches``."""
         return {
             "n_submitted": self.n_submitted,
             "n_enqueued": self.n_enqueued,
-            "n_coalesced": self.n_coalesced,
-            "n_batches": n_batches,
+            "n_coalesced": queries.n_inflight_hits,
+            "n_batches": queries.n_batches,
             "n_cross_request_batches": self.n_cross_request_batches,
             "max_queue_depth": self.max_queue_depth,
             "batch_size_histogram": {
@@ -226,7 +214,6 @@ class SchedulerStats:
     def reset(self) -> None:
         self.n_submitted = 0
         self.n_enqueued = 0
-        self.n_coalesced = 0
         self.n_cross_request_batches = 0
         self.max_queue_depth = 0
         self.batch_sizes: dict[str, int] = {}
@@ -440,7 +427,6 @@ class RequestScheduler:
                 pending.submitters.add(threading.get_ident())
                 pending.coalesced = True
                 self.stats.record_inflight_hit()
-                self.scheduler_stats.n_coalesced += 1
                 return pending.future
         if self.queue_depth is not None and len(self._queue) >= self.queue_depth:
             return None
@@ -846,4 +832,4 @@ class RequestScheduler:
     def stats_snapshot(self) -> dict[str, object]:
         """The scheduler telemetry as a JSON-serializable dict."""
         with self._lock:
-            return self.scheduler_stats.snapshot(self.stats.n_batches)
+            return self.scheduler_stats.snapshot(self.stats)

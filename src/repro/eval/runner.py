@@ -25,7 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import (
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+    cast,
+    runtime_checkable,
+)
 
 from repro.core.pipeline import AnnotationResult
 from repro.core.plan import stage_rows_from_snapshot
@@ -37,6 +45,25 @@ from repro.datasets.base import Benchmark, BenchmarkColumn
 from repro.eval.confusion import ConfusionMatrix
 from repro.eval.metrics import ClassificationReport, evaluate_predictions
 from repro.exceptions import ConfigurationError
+
+#: The run counters, named once and in ``results.json`` order: the model
+#: queries a run paid, the prompts each scheduler tier absorbed instead (LRU
+#: cache, response store, in flight), and the model batches it drained.
+#: ``ExperimentRunner.totals`` and the suite's ``results.json`` sum them.
+RUN_COUNTERS = (
+    "n_queries", "n_cache_hits", "n_store_hits", "n_inflight_hits",
+    "n_coalesced", "n_batches", "n_cross_request_batches",
+)
+
+
+def sum_totals(parts: Iterable[Mapping[str, int]]) -> dict[str, int]:
+    """``n_evaluations`` and every :data:`RUN_COUNTERS` name, each summed
+    over ``parts`` (a name a part lacks counts 0)."""
+    totals = dict.fromkeys(("n_evaluations", *RUN_COUNTERS), 0)
+    for part in parts:
+        for name in totals:
+            totals[name] += int(part.get(name, 0))
+    return totals
 
 
 class ColumnAnnotator(Protocol):
@@ -81,16 +108,12 @@ class EvaluationResult:
     n_unmapped: int = 0
     annotations: list[AnnotationResult] = field(default_factory=list)
     #: Per-stage instrumentation captured from the annotator, when it exposes
-    #: a ``pipeline_stats`` attribute: ``{stage: {calls, seconds, cache_hits}}``.
+    #: a ``pipeline_stats`` attribute: ``{stage: {calls, seconds, cache_hits,
+    #: store_hits, inflight_hits}}``.
     pipeline_stats: dict[str, dict[str, float]] | None = None
-    #: Engine counters captured from the annotator, when exposed.
-    n_queries: int | None = None
-    n_cache_hits: int | None = None
-    n_store_hits: int | None = None
-    n_inflight_hits: int | None = None
-    #: Request-scheduler telemetry snapshot (batches drained, coalesced
-    #: requests, batch-size histogram …), when the annotator exposes one.
-    scheduler: dict[str, object] | None = None
+    #: One value per :data:`RUN_COUNTERS` name, read from the annotator's
+    #: request scheduler (``None`` for annotators without one).
+    counters: dict[str, int] | None = None
     #: Identifier of the checkpointed run (when a cache directory was used);
     #: pass it back as ``resume`` to continue an interrupted run.
     run_id: str | None = None
@@ -115,17 +138,16 @@ class EvaluationResult:
             "n_remapped": self.n_remapped,
             "n_rule_applied": self.n_rule_applied,
         }
-        if self.n_queries is not None:
-            row["n_queries"] = self.n_queries
-        if self.n_cache_hits is not None:
-            row["cache_hits"] = self.n_cache_hits
-        if self.n_store_hits is not None:
-            row["store_hits"] = self.n_store_hits
-        if self.n_inflight_hits is not None:
-            row["inflight_hits"] = self.n_inflight_hits
-        if self.scheduler is not None:
-            row["n_batches"] = self.scheduler.get("n_batches", 0)
-            row["n_coalesced"] = self.scheduler.get("n_coalesced", 0)
+        if self.counters is not None:
+            counters = self.counters
+            row.update(
+                n_queries=counters["n_queries"],
+                cache_hits=counters["n_cache_hits"],
+                store_hits=counters["n_store_hits"],
+                inflight_hits=counters["n_inflight_hits"],
+                n_batches=counters["n_batches"],
+                n_coalesced=counters["n_coalesced"],
+            )
         if self.run_id is not None:
             row["run_id"] = self.run_id
         if self.pipeline_stats:
@@ -148,53 +170,6 @@ class EvaluationResult:
         if not self.pipeline_stats:
             return []
         return stage_rows_from_snapshot(self.pipeline_stats)
-
-
-@dataclass
-class RunnerTotals:
-    """Counters accumulated across every evaluation a runner performs.
-
-    The suite orchestrator hands one :class:`ExperimentRunner` to an
-    experiment shard and reads these totals afterwards, so a shard's
-    machine-readable result can report how many model queries the whole
-    experiment cost (and how many were absorbed by the LRU / store tiers)
-    without every experiment module threading counters by hand.
-    """
-
-    n_evaluations: int = 0
-    n_queries: int = 0
-    n_cache_hits: int = 0
-    n_store_hits: int = 0
-    n_inflight_hits: int = 0
-    n_coalesced: int = 0
-    n_batches: int = 0
-    n_cross_request_batches: int = 0
-
-    def add(self, result: "EvaluationResult") -> None:
-        """Fold one evaluation's engine/scheduler counters into the totals."""
-        self.n_evaluations += 1
-        self.n_queries += result.n_queries or 0
-        self.n_cache_hits += result.n_cache_hits or 0
-        self.n_store_hits += result.n_store_hits or 0
-        self.n_inflight_hits += result.n_inflight_hits or 0
-        if result.scheduler is not None:
-            self.n_coalesced += int(result.scheduler.get("n_coalesced", 0))  # type: ignore[arg-type]
-            self.n_batches += int(result.scheduler.get("n_batches", 0))  # type: ignore[arg-type]
-            self.n_cross_request_batches += int(
-                result.scheduler.get("n_cross_request_batches", 0)  # type: ignore[arg-type]
-            )
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "n_evaluations": self.n_evaluations,
-            "n_queries": self.n_queries,
-            "n_cache_hits": self.n_cache_hits,
-            "n_store_hits": self.n_store_hits,
-            "n_inflight_hits": self.n_inflight_hits,
-            "n_coalesced": self.n_coalesced,
-            "n_batches": self.n_batches,
-            "n_cross_request_batches": self.n_cross_request_batches,
-        }
 
 
 @dataclass
@@ -250,7 +225,9 @@ class ExperimentRunner:
     checkpoint: bool = True
     run_id: str | None = None
     resume: str | None = None
-    totals: RunnerTotals = field(default_factory=RunnerTotals)
+    #: ``n_evaluations`` plus every :data:`RUN_COUNTERS` name, summed over
+    #: the evaluations this runner performed (the suite reads it per shard).
+    totals: dict[str, int] = field(default_factory=lambda: sum_totals(()))
 
     def evaluate(
         self,
@@ -290,7 +267,10 @@ class ExperimentRunner:
             confusion = ConfusionMatrix.from_predictions(truth, predictions)
             stats = getattr(annotator, "pipeline_stats", None)
             engine = getattr(annotator, "engine", None)
-            engine_stats = getattr(engine, "stats", None)
+            counters = None
+            if isinstance(engine, RequestScheduler):
+                recorded = {**engine.stats_snapshot(), **engine.stats.as_dict()}
+                counters = {name: cast(int, recorded[name]) for name in RUN_COUNTERS}
             result = EvaluationResult(
                 benchmark_name=benchmark.name,
                 method_name=method_name,
@@ -303,21 +283,10 @@ class ExperimentRunner:
                 n_unmapped=n_unmapped,
                 annotations=annotations,
                 pipeline_stats=stats.snapshot() if stats is not None else None,
-                n_queries=engine_stats.n_queries if engine_stats is not None else None,
-                n_cache_hits=engine_stats.n_cache_hits if engine_stats is not None else None,
-                n_store_hits=(
-                    engine_stats.n_store_hits if engine_stats is not None else None
-                ),
-                n_inflight_hits=(
-                    engine_stats.n_inflight_hits if engine_stats is not None else None
-                ),
-                scheduler=(
-                    engine.stats_snapshot()
-                    if isinstance(engine, RequestScheduler) else None
-                ),
+                counters=counters,
                 run_id=manifest.run_id if manifest is not None else None,
             )
-            self.totals.add(result)
+            self._count(result)
             return result
         finally:
             if manifest is not None:
@@ -561,5 +530,11 @@ class ExperimentRunner:
             report=report,
             confusion=confusion,
         )
-        self.totals.add(result)
+        self._count(result)
         return result
+
+    def _count(self, result: EvaluationResult) -> None:
+        """Add one evaluation and its run counters to :attr:`totals`."""
+        self.totals["n_evaluations"] += 1
+        for name, value in (result.counters or {}).items():
+            self.totals[name] += value

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.store import _transaction, generate_run_id, open_journal
 from repro.eval.reporting import format_markdown_table
-from repro.eval.runner import ExperimentRunner
+from repro.eval.runner import RUN_COUNTERS, ExperimentRunner, sum_totals
 from repro.exceptions import ConfigurationError
 
 #: Version of the ``results.json`` schema; bump on breaking layout changes.
@@ -409,7 +409,7 @@ def _execute_shard(payload: dict) -> dict:
             status="ok",
             rows=artifact.rows,
             metrics=artifact.metrics,
-            **runner.totals.as_dict(),
+            **runner.totals,
         )
     except Exception as exc:  # noqa: BLE001 - shard failures must not kill the suite
         record.update(
@@ -539,20 +539,13 @@ class ExperimentResult:
     title: str
     status: str  # "ok" | "error"
     wall_time_s: float
-    n_evaluations: int
-    n_queries: int
-    n_cache_hits: int
-    n_store_hits: int
+    #: ``n_evaluations`` plus every :data:`RUN_COUNTERS` name, summed over
+    #: the experiment's shards.
+    counters: dict[str, int]
     metrics: dict[str, float]
     rows: list[dict[str, object]]
     shards: list[dict[str, object]]
     errors: list[str] = field(default_factory=list)
-    # Request-scheduler counters (absent in pre-scheduler results.json files,
-    # hence the .get defaults in from_dict).
-    n_inflight_hits: int = 0
-    n_coalesced: int = 0
-    n_batches: int = 0
-    n_cross_request_batches: int = 0
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -561,14 +554,7 @@ class ExperimentResult:
             "title": self.title,
             "status": self.status,
             "wall_time_s": self.wall_time_s,
-            "n_evaluations": self.n_evaluations,
-            "n_queries": self.n_queries,
-            "n_cache_hits": self.n_cache_hits,
-            "n_store_hits": self.n_store_hits,
-            "n_inflight_hits": self.n_inflight_hits,
-            "n_coalesced": self.n_coalesced,
-            "n_batches": self.n_batches,
-            "n_cross_request_batches": self.n_cross_request_batches,
+            **self.counters,
             "metrics": self.metrics,
             "rows": self.rows,
             "shards": self.shards,
@@ -583,16 +569,7 @@ class ExperimentResult:
             title=data["title"],  # type: ignore[arg-type]
             status=data["status"],  # type: ignore[arg-type]
             wall_time_s=data["wall_time_s"],  # type: ignore[arg-type]
-            n_evaluations=data["n_evaluations"],  # type: ignore[arg-type]
-            n_queries=data["n_queries"],  # type: ignore[arg-type]
-            n_cache_hits=data["n_cache_hits"],  # type: ignore[arg-type]
-            n_store_hits=data["n_store_hits"],  # type: ignore[arg-type]
-            n_inflight_hits=data.get("n_inflight_hits", 0),  # type: ignore[arg-type]
-            n_coalesced=data.get("n_coalesced", 0),  # type: ignore[arg-type]
-            n_batches=data.get("n_batches", 0),  # type: ignore[arg-type]
-            n_cross_request_batches=data.get(  # type: ignore[arg-type]
-                "n_cross_request_batches", 0
-            ),
+            counters=sum_totals([data]),  # type: ignore[list-item]
             metrics=dict(data["metrics"]),  # type: ignore[arg-type]
             rows=list(data["rows"]),  # type: ignore[arg-type]
             shards=list(data["shards"]),  # type: ignore[arg-type]
@@ -618,26 +595,7 @@ class SuiteResult:
 
     @property
     def totals(self) -> dict[str, int]:
-        totals = {
-            "n_evaluations": 0,
-            "n_queries": 0,
-            "n_cache_hits": 0,
-            "n_store_hits": 0,
-            "n_inflight_hits": 0,
-            "n_coalesced": 0,
-            "n_batches": 0,
-            "n_cross_request_batches": 0,
-        }
-        for experiment in self.experiments:
-            totals["n_evaluations"] += experiment.n_evaluations
-            totals["n_queries"] += experiment.n_queries
-            totals["n_cache_hits"] += experiment.n_cache_hits
-            totals["n_store_hits"] += experiment.n_store_hits
-            totals["n_inflight_hits"] += experiment.n_inflight_hits
-            totals["n_coalesced"] += experiment.n_coalesced
-            totals["n_batches"] += experiment.n_batches
-            totals["n_cross_request_batches"] += experiment.n_cross_request_batches
-        return totals
+        return sum_totals(e.counters for e in self.experiments)
 
     @property
     def ok(self) -> bool:
@@ -726,10 +684,6 @@ def _merge_experiment(
     rows: list[dict[str, object]] = []
     metrics: dict[str, float] = {}
     errors: list[str] = []
-    totals = {"n_evaluations": 0, "n_queries": 0,
-              "n_cache_hits": 0, "n_store_hits": 0,
-              "n_inflight_hits": 0, "n_coalesced": 0,
-              "n_batches": 0, "n_cross_request_batches": 0}
     wall = 0.0
     shards: list[dict[str, object]] = []
     for record in shard_results:
@@ -753,22 +707,13 @@ def _merge_experiment(
                     f"{spec.name}: metric {key!r} produced by two shards"
                 )
             metrics[key] = value
-        for key in totals:
-            totals[key] += record.get(key, 0)
     return ExperimentResult(
         name=spec.name,
         artifact=spec.artifact,
         title=spec.title,
         status="ok" if not errors else "error",
         wall_time_s=round(wall, 3),
-        n_evaluations=totals["n_evaluations"],
-        n_queries=totals["n_queries"],
-        n_cache_hits=totals["n_cache_hits"],
-        n_store_hits=totals["n_store_hits"],
-        n_inflight_hits=totals["n_inflight_hits"],
-        n_coalesced=totals["n_coalesced"],
-        n_batches=totals["n_batches"],
-        n_cross_request_batches=totals["n_cross_request_batches"],
+        counters=sum_totals(r for r in shard_results if r["status"] == "ok"),
         metrics=metrics,
         rows=rows,
         shards=shards,
@@ -887,11 +832,11 @@ def _execute_dag(
         if replay is not None:
             replay = dict(replay)
             replay["resumed_from_journal"] = True
-            # The journalled counters describe what the *recorded* run paid;
-            # replaying costs nothing now, and reporting stale query counts
-            # would make a resumed run look like it touched the model.
-            for counter in ("n_queries", "n_cache_hits", "n_store_hits"):
-                replay[counter] = 0
+            # The journalled run counters describe what the *recorded* run
+            # paid; replaying costs nothing now, and reporting its queries,
+            # hits or batches would make a resumed run look like it touched
+            # the model.  Its evaluations still count.
+            replay.update(dict.fromkeys(RUN_COUNTERS, 0))
             finish(task, replay)
         else:
             pending.append(task)
@@ -1005,9 +950,10 @@ def render_report(
             f"### {experiment.artifact}: {experiment.title}",
             "",
             f"- status: **{experiment.status}**, wall time "
-            f"{experiment.wall_time_s:.1f}s, {experiment.n_evaluations} "
-            f"evaluations, {experiment.n_queries} model queries "
-            f"({experiment.n_store_hits} store hits)",
+            f"{experiment.wall_time_s:.1f}s, "
+            f"{experiment.counters['n_evaluations']} evaluations, "
+            f"{experiment.counters['n_queries']} model queries "
+            f"({experiment.counters['n_store_hits']} store hits)",
         ]
         if experiment.errors:
             for error in experiment.errors:
@@ -1138,9 +1084,9 @@ def experiment_main(
     print(format_table(artifact.rows, title=f"{spec.artifact}: {spec.title}"))
     totals = runner.totals
     print(
-        f"\n{totals.n_evaluations} evaluations, {totals.n_queries} model "
-        f"queries (LRU hits: {totals.n_cache_hits}, store hits: "
-        f"{totals.n_store_hits})"
+        f"\n{totals['n_evaluations']} evaluations, {totals['n_queries']} model "
+        f"queries (LRU hits: {totals['n_cache_hits']}, store hits: "
+        f"{totals['n_store_hits']})"
     )
     if artifact.metrics:
         print("metrics:", json.dumps(artifact.metrics, sort_keys=True))

@@ -514,9 +514,9 @@ class TestEveryExecutor:
 
         cold = run()
         warm = run()
-        assert cold.n_queries > 0
-        assert warm.n_queries == 0
-        assert warm.n_store_hits > 0
+        assert cold.counters["n_queries"] > 0
+        assert warm.counters["n_queries"] == 0
+        assert warm.counters["n_store_hits"] > 0
         assert warm.predictions == cold.predictions
 
 

@@ -108,7 +108,7 @@ class TestInflightDedup:
         for thread in threads[1:]:
             thread.start()
         _wait_until(
-            lambda: scheduler.scheduler_stats.n_coalesced == n_threads - 1,
+            lambda: scheduler.stats.n_inflight_hits == n_threads - 1,
             message="late submitters did not coalesce onto the leader",
         )
         model.release.set()
@@ -126,7 +126,7 @@ class TestInflightDedup:
         second = scheduler.submit("p")
         assert first is second
         assert scheduler.wait([first, second]) == ["ans:p:0", "ans:p:0"]
-        assert scheduler.scheduler_stats.n_coalesced == 1
+        assert scheduler.stats.n_inflight_hits == 1
 
     def test_distinct_params_do_not_coalesce(self):
         model = CountingModel()
@@ -363,7 +363,7 @@ class TestRequeryScheduling:
         assert model.started.wait(timeout=5.0)
         follower = threading.Thread(target=retry)
         follower.start()
-        _wait_until(lambda: engine.scheduler_stats.n_coalesced == 1)
+        _wait_until(lambda: engine.stats.n_inflight_hits == 1)
         model.release.set()
         leader.join(timeout=10.0)
         follower.join(timeout=10.0)
@@ -469,7 +469,7 @@ class TestStoreWriteThrough:
 
             follower = threading.Thread(target=coalesced_waiter)
             follower.start()
-            _wait_until(lambda: scheduler.scheduler_stats.n_coalesced == 1)
+            _wait_until(lambda: scheduler.stats.n_inflight_hits == 1)
             model.release.set()
 
             error = leader.exception(timeout=5.0)

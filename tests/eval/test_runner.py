@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.llm_baselines import build_archetype_method
@@ -141,11 +143,11 @@ class TestRunnerDrives:
         runner = ExperimentRunner()
         first = runner.evaluate(annotator, d4_small, "run-1")
         second = runner.evaluate(annotator, d4_small, "run-2")
-        assert first.n_queries is not None and first.n_queries > 0
+        assert first.counters is not None and first.counters["n_queries"] > 0
         # The second run reports per-run numbers: the replay is answered from
         # the engine's surviving cache, not billed as fresh model queries.
-        assert second.n_queries == 0
-        assert second.n_cache_hits is not None and second.n_cache_hits > 0
+        assert second.counters["n_queries"] == 0
+        assert second.counters["n_cache_hits"] > 0
 
     def test_process_drive_reports_worker_batches(self):
         """Model batches drained in worker processes reach the summary row."""
@@ -155,7 +157,33 @@ class TestRunnerDrives:
         result = runner.evaluate(annotator, benchmark, "process")
         assert result.summary_row()["n_batches"] == annotator.engine.stats.n_batches
         assert annotator.engine.stats.n_batches == 2
-        assert runner.totals.n_batches == 2
+        assert runner.totals["n_batches"] == 2
+
+    @pytest.mark.parametrize(
+        ("executor", "workers"),
+        [("batched", None), ("concurrent", 2), ("process", 2)],
+    )
+    def test_coalesced_requests_reported_under_every_executor(
+        self, executor, workers
+    ):
+        """Each column's twin coalesces onto its pending request, and both
+        the row and the runner totals count it, wherever it was queried."""
+        benchmark = load_benchmark("sotab-27", n_columns=30, seed=3)
+        doubled = dataclasses.replace(
+            benchmark, columns=[c for c in benchmark.columns for _ in range(2)]
+        )
+        annotator = build_archetype_method(
+            doubled, model="gpt", seed=1, sampler="firstk"
+        )
+        runner = ExperimentRunner(executor=executor, workers=workers)
+        row = runner.evaluate(annotator, doubled, executor).summary_row()
+        assert list(row)[8:14] == [
+            "n_queries", "cache_hits", "store_hits", "inflight_hits",
+            "n_batches", "n_coalesced",
+        ]
+        assert row["n_coalesced"] == row["inflight_hits"] == 30
+        assert runner.totals["n_coalesced"] == 30
+        assert runner.totals["n_inflight_hits"] == 30
 
     def test_batch_size_zero_with_conflicting_executor_rejected(self, d4_small):
         annotator = build_archetype_method(d4_small, model="gpt")

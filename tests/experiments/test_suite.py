@@ -296,6 +296,29 @@ class TestResume:
             shards[name]["cached"] for name in shards if name != "d4-20"
         )
 
+    def test_resumed_run_reports_none_of_the_recorded_work(self, tmp_path):
+        """Replaying journalled shards touches no tier and drains no batch."""
+        cache_dir = tmp_path / "cache"
+        options = dict(
+            quick=True, jobs=1, only=("fig4_sampling",), progress=None,
+            cache_dir=cache_dir,
+        )
+        cold = run_suite(SuiteOptions(**options))
+        assert cold.ok and cold.totals["n_batches"] > 0
+
+        resumed = run_suite(
+            SuiteOptions(resume=cold.suite_run_id, **options)
+        )
+        assert resumed.ok
+        assert resumed.totals["n_evaluations"] == cold.totals["n_evaluations"]
+        counters = {
+            name: value for name, value in resumed.totals.items()
+            if name != "n_evaluations"
+        }
+        assert counters == dict.fromkeys(counters, 0)
+        report = (cache_dir / "REPORT.md").read_text(encoding="utf-8")
+        assert "scheduler: 0 batches drained" in report
+
     def test_resume_requires_cache_dir(self):
         with pytest.raises(ConfigurationError, match="cache-dir"):
             run_suite(

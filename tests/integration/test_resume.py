@@ -222,7 +222,7 @@ class TestRunnerResume:
         assert resumed.predictions == reference.predictions
         assert resumed.run_id == "half"
         # Only the second half issued model traffic (plus its resamples).
-        assert resumed.n_queries <= reference.n_queries
+        assert resumed.counters["n_queries"] <= reference.counters["n_queries"]
 
         manifest = RunManifest.load(tmp_path, "half")
         assert manifest.n_completed == N_COLUMNS
@@ -256,17 +256,17 @@ class TestRunnerResume:
         benchmark = _benchmark()
         runner = ExperimentRunner(batch_size=CHUNK, cache_dir=tmp_path)
         cold = runner.evaluate(_annotator(benchmark.label_set), benchmark, "archetype")
-        assert cold.n_queries > 0
+        assert cold.counters["n_queries"] > 0
 
         warm = ExperimentRunner(batch_size=CHUNK, cache_dir=tmp_path).evaluate(
             _annotator(benchmark.label_set), benchmark, "archetype"
         )
         assert warm.predictions == cold.predictions
-        assert warm.n_queries == 0
-        assert warm.n_store_hits > 0
+        assert warm.counters["n_queries"] == 0
+        assert warm.counters["n_store_hits"] > 0
         row = warm.summary_row()
         assert row["n_queries"] == 0
-        assert row["store_hits"] == warm.n_store_hits
+        assert row["store_hits"] == warm.counters["n_store_hits"]
 
     def test_resume_requires_cache_dir(self):
         benchmark = _benchmark()
