@@ -7,11 +7,13 @@ under ``--cache-dir``:
 2. **warm** — must complete every experiment with **zero** model queries and
    produce bit-identical per-experiment metrics;
 3. **resumed** — resumes the warm pass's suite run id, so every shard must
-   come back replayed from the suite journal (``cached``), with **zero**
-   model queries and the cold pass's metrics.
+   come back replayed from the suite journal (``cached``), with **zero** on
+   every run counter (``RUN_COUNTERS``: no queries, hits or batches) and the
+   cold pass's metrics.
 
-Exits non-zero if any experiment fails, the warm or resumed pass touched the
-model, a resumed shard re-ran, or any metric diverged from the cold pass.
+Exits non-zero if any experiment fails, the warm pass touched the model, the
+resumed pass reported any run counter, a resumed shard re-ran, or any metric
+diverged from the cold pass.
 ``results.json`` and ``REPORT.md`` from each pass are left under
 ``<cache-dir>/cold/``, ``<cache-dir>/warm/`` and ``<cache-dir>/resumed/`` so
 CI can upload them as artifacts.
@@ -30,6 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.eval.runner import RUN_COUNTERS  # noqa: E402
 from repro.experiments.suite import SuiteOptions, run_suite  # noqa: E402
 
 
@@ -71,11 +74,15 @@ def main(argv: list[str] | None = None) -> int:
                 )
     cold_metrics = {e.name: e.metrics for e in passes["cold"].experiments}
     for label in ("warm", "resumed"):
-        queries = passes[label].totals["n_queries"]
-        if queries != 0:
+        # The warm pass is answered by the store; the resumed pass replays
+        # the journal, which touches no tier and drains no batch.
+        totals = passes[label].totals
+        checked = ("n_queries",) if label == "warm" else RUN_COUNTERS
+        paid = {name: totals[name] for name in checked if totals[name] != 0}
+        if paid:
             failures.append(
-                f"{label} pass issued {queries} model queries; the persistent "
-                "store and the suite journal should have answered everything"
+                f"{label} pass reported {paid}; the persistent store and "
+                "the suite journal should have answered everything"
             )
         pass_metrics = {e.name: e.metrics for e in passes[label].experiments}
         if cold_metrics != pass_metrics:
