@@ -46,9 +46,10 @@ from repro.eval.confusion import ConfusionMatrix
 from repro.eval.metrics import ClassificationReport, evaluate_predictions
 from repro.exceptions import ConfigurationError
 
-#: The run counters, named once and in ``results.json`` order: the model
-#: queries a run paid, the prompts each scheduler tier absorbed instead (LRU
-#: cache, response store, in flight), and the model batches it drained.
+#: The run counters, named once and in ``results.json`` order: what a run
+#: cost the model (queries, batches, cross-request batches) and what the
+#: scheduler's tiers absorbed instead (LRU cache, store and in-flight hits;
+#: ``n_coalesced`` is the in-flight count under the scheduler's name).
 #: ``ExperimentRunner.totals`` and the suite's ``results.json`` sum them.
 RUN_COUNTERS = (
     "n_queries", "n_cache_hits", "n_store_hits", "n_inflight_hits",
