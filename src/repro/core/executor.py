@@ -218,7 +218,8 @@ class ConcurrentExecutor(Executor):
 
     Pending prompts go down :meth:`RequestScheduler.query_batch_fanout`: each
     thread submits a contiguous slice into the shared scheduler and then
-    drains it, so several ``generate_batch`` calls run in parallel on pooled
+    drains the shared queue until it is empty, so ``workers``
+    ``generate_batch`` calls run in parallel to the last batch on pooled
     :meth:`LanguageModel.clone_for_worker` model clones while dedup, caching
     and stats stay centralized.  Responses reassemble positionally, so the
     labels are identical to the batched path for the pure bundled backends.

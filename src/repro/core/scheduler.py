@@ -719,9 +719,11 @@ class RequestScheduler:
 
         Each thread submits a contiguous slice, then drains the shared queue
         in batches of at most ``chunk_size`` (default: an even split over
-        ``workers``; never above ``max_batch_size``), so several
-        ``generate_batch`` calls run in parallel on pooled
-        :meth:`LanguageModel.clone_for_worker` clones.  Sound for backends
+        ``workers``; never above ``max_batch_size``) until the queue is
+        empty, not merely until its own slice resolves.  So up to
+        ``workers`` ``generate_batch`` calls stay in flight until the last
+        batch, on pooled :meth:`LanguageModel.clone_for_worker` clones.
+        Sound for backends
         that are pure functions of ``(prompt, params)`` or whose clone hook
         returns an independent copy: responses (in ``prompts`` order) and
         bookkeeping then match :meth:`query_batch`, timing-dependent hit-tier
@@ -754,6 +756,11 @@ class RequestScheduler:
             # re-raises them in the calling thread.
             with suppress(Exception):
                 self.wait(own, batch_limit)
+            # Keep leading until the queue is empty: a thread that left once
+            # its own slice resolved would leave fewer than ``workers``
+            # leaders generating the rest.
+            while self._drain_once(batch_limit):
+                pass
 
         threads = [
             threading.Thread(target=drive, args=(indices,), name=f"submitter-{i}")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
+
 from repro.core.querying import QueryEngine
 from repro.llm.base import GenerationParams, LanguageModel
 from repro.llm.registry import get_model
@@ -107,6 +109,27 @@ class TestQueryBatchFanout:
             [f"p{i}" for i in range(10)], workers=3, chunk_size=2
         )
         assert responses == [f"echo:p{i}" for i in range(10)]
+
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    def test_every_leader_drains_to_the_last_batch(self, workers):
+        """Each model batch waits until ``workers`` batches are in flight,
+        so a leader that stopped once its own slice resolved would leave
+        the barrier short and break it."""
+
+        class BarrierModel(RecordingModel):
+            def __init__(self) -> None:
+                super().__init__()
+                self.barrier = threading.Barrier(workers, timeout=2)
+
+            def generate_batch(self, prompts, params=None):
+                self.barrier.wait()
+                return super().generate_batch(prompts, params)
+
+        engine = QueryEngine(model=BarrierModel(), cache_size=64, max_batch_size=1)
+        prompts = [f"p{i}" for i in range(12 * workers)]
+        responses = engine.query_batch_fanout(prompts, workers=workers)
+        assert responses == [f"echo:{prompt}" for prompt in prompts]
+        assert engine.stats.n_batches == 12 * workers
 
 
 class TestResetStats:
