@@ -140,99 +140,6 @@ def test_concurrent_executor_beats_sequential(benchmark, bench_columns):
         assert info["speedup"] >= 1.5, info
 
 
-def _make_latency_annotator(label_set, cache_size: int, latency: float) -> ArcheType:
-    """An annotator whose simulated backend pays an API round trip per call.
-
-    Identical completions to ``_make_annotator`` (latency never touches the
-    response procedure) — only the wall-clock cost of each ``generate`` /
-    ``generate_batch`` call changes, modeling the remote deployments the
-    paper actually benchmarks (OpenAI endpoints pay hundreds of
-    milliseconds per request; ``ROUND_TRIP`` below is conservative).
-    """
-    from repro.llm.simulated import SimulatedLLM
-
-    return ArcheType(
-        ArcheTypeConfig(
-            model=SimulatedLLM("gpt", seed=17, latency=latency),
-            label_set=label_set,
-            sample_size=5,
-            sampler="firstk",
-            seed=17,
-            query_cache_size=cache_size,
-        )
-    )
-
-
-#: Simulated API round trip per model request in the process benchmark —
-#: 10ms, an order of magnitude under real LLM-endpoint latencies.
-ROUND_TRIP = 0.010
-
-
-def test_process_executor_beats_sequential(benchmark, bench_columns):
-    """Acceptance (ISSUE 7): process executor >= 3x sequential at 100 columns.
-
-    The workload is unique columns (caching and coalescing cannot help) with
-    a conservative simulated API round trip per model request, the cost that
-    dominates the paper's real deployments.  The sequential loop pays one
-    round trip per column, serially; the process executor's workers each
-    drain their chunk through their own scheduler, overlapping the round
-    trips — and, on multi-core hosts, the Python-side query bookkeeping,
-    simulated generation, and remapping as well.  Labels must stay
-    bit-identical and the model-call budget must match sequential exactly
-    (each worker pays for its own chunk; plans are built once in the
-    parent), which is the deterministic gate CI relies on.
-    """
-    data = load_benchmark("sotab-27", n_columns=bench_columns, seed=11)
-    workload = [bench_column.column for bench_column in data.columns]
-
-    def compare() -> dict[str, float]:
-        sequential = _make_latency_annotator(
-            data.label_set, cache_size=0, latency=ROUND_TRIP
-        )
-        start = perf_counter()
-        sequential_results = [sequential.annotate_column(c) for c in workload]
-        sequential_seconds = perf_counter() - start
-
-        process = _make_latency_annotator(
-            data.label_set, cache_size=4096, latency=ROUND_TRIP
-        )
-        start = perf_counter()
-        process_results = process.annotate_columns(
-            workload, executor="process", workers=4
-        )
-        process_seconds = perf_counter() - start
-
-        assert [r.label for r in process_results] == [
-            r.label for r in sequential_results
-        ]
-        return {
-            "sequential_seconds": sequential_seconds,
-            "process_seconds": process_seconds,
-            "speedup": sequential_seconds / process_seconds,
-            "columns_per_second_sequential": len(workload) / sequential_seconds,
-            "columns_per_second_process": len(workload) / process_seconds,
-            "model_calls_sequential": sequential.query_count,
-            "model_calls_process": process.query_count,
-            "workers": 4,
-        }
-
-    info = run_once(benchmark, compare)
-    benchmark.extra_info.update(info)
-    record_bench_result("process_vs_sequential", **info)
-
-    # Every column is unique, so worker-side schedulers pay exactly the
-    # sequential model-call budget (resample retries included) — the
-    # deterministic CI gate.  The absorbed worker counters make the parent's
-    # query_count truthful; a mismatch means either lost accounting or a
-    # worker quietly re-querying.
-    assert info["model_calls_process"] == info["model_calls_sequential"]
-    # The ISSUE 7 acceptance bar: >= 3x columns/sec at representative scale.
-    # Pool spawn overhead dominates tiny --quick workloads and CI runners
-    # have unpredictable core counts, so the wall-clock gate is local-only.
-    if not os.environ.get("CI") and bench_columns >= 100:
-        assert info["speedup"] >= 3.0, info
-
-
 def test_cross_request_coalescing_under_fanout(benchmark, bench_columns):
     """Satellite (ISSUE 6): the scheduler must coalesce across submitters.
 

@@ -1,12 +1,11 @@
 """Process-boundary picklability checker.
 
-The :class:`~repro.core.executor.ProcessExecutor` and the suite orchestrator
-ship work to ``ProcessPoolExecutor`` workers, so everything that crosses the
-boundary — the submitted callable and every object reachable from the pickled
-worker spec — must be picklable.  A lambda, a closure, a ``threading.Lock``
-or an open file handle in that payload fails at runtime, in a worker, with a
-stack trace pointing at the pool rather than the offending line.  These rules
-catch the static cases at lint time.
+The suite orchestrator ships its shards to ``ProcessPoolExecutor`` workers,
+so everything that crosses the boundary — the submitted callable and every
+object reachable from a pickled payload — must be picklable.  A lambda, a
+closure, a ``threading.Lock`` or an open file handle in that payload fails
+at runtime, in a worker, with a stack trace pointing at the pool rather than
+the offending line.  These rules catch the static cases at lint time.
 
 Rules:
 

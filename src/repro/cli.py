@@ -311,8 +311,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser, default_note: str)
                         help="execution strategy for the query stage (default: "
                              "batched, or sequential when --batch-size=0)")
     parser.add_argument("--workers", type=_positive_int, default=None,
-                        help="pool width for --executor concurrent (threads) "
-                             "or process (worker processes); default 4")
+                        help="thread count for --executor concurrent; "
+                             "default 4")
     parser.add_argument("--profile", action="store_true",
                         help="wrap the run in cProfile and dump pstats under "
                              "<cache-dir>/profiles/ (or ./profiles/), so "
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution strategy for the query stage inside "
                             "each shard")
     suite.add_argument("--workers", type=_positive_int, default=None,
-                       help="pool width for --executor concurrent or process")
+                       help="thread count for --executor concurrent")
     suite.add_argument("--profile", action="store_true",
                        help="profile every shard with cProfile and dump "
                             "per-shard pstats next to results.json "

@@ -16,7 +16,7 @@ Submodules map one-to-one onto the stages in Figure 1 of the paper:
 * :mod:`repro.core.plan` — the logical half of annotation: per-column
   ``ColumnPlan`` building plus per-stage instrumentation.
 * :mod:`repro.core.executor` — the physical half: batched (sequential is
-  a batch of one), concurrent and process plan executors.
+  a batch of one) and concurrent plan executors.
 * :mod:`repro.core.store` — the durability layer: the persistent SQLite
   ``(prompt, params) → response`` store and per-run checkpoint manifests.
 * :mod:`repro.core.pipeline` — the end-to-end ``ArcheType`` annotator.

@@ -12,8 +12,8 @@ Since the plan/execute refactor the stages live in exactly two places:
 * a pluggable :class:`repro.core.executor.Executor` carries out the pending
   query + remap work as a submission policy over the annotator's request
   scheduler (its ``engine``) — a batch at a time (one column at a time is
-  a batch of one), from several submitter threads at once, or across worker
-  processes (see :mod:`repro.core.scheduler`).
+  a batch of one) or from several submitter threads at once (see
+  :mod:`repro.core.scheduler`).
 
 Every public entry point is a thin wrapper over that split:
 
@@ -132,8 +132,8 @@ class ArcheTypeConfig:
     #: historical per-call ``batch_size`` semantics.  A per-call ``executor``
     #: argument overrides this.
     executor: str | None = None
-    #: Default pool width for the ``"concurrent"`` (threads) and ``"process"``
-    #: (worker processes) executors; ``None`` means the executor's own default.
+    #: Default thread count for the ``"concurrent"`` executor; ``None`` means
+    #: the executor's own default.
     workers: int | None = None
 
     def with_updates(self, **changes: object) -> "ArcheTypeConfig":
@@ -286,13 +286,12 @@ class ArcheType:
         ``query_cache_size=0``, since the default response cache also
         collapses repeated prompts).  ``executor`` accepts an
         :class:`repro.core.executor.Executor` instance or one of the names
-        ``"sequential"``, ``"batched"``, ``"concurrent"``, ``"process"``
-        (``workers`` sizes the concurrent thread pool or the process pool);
-        when both are omitted, the config's ``executor``/``workers`` defaults
-        apply.
+        ``"sequential"``, ``"batched"``, ``"concurrent"`` (``workers`` sets the
+        concurrent thread count); when both are omitted, the config's
+        ``executor``/``workers`` defaults apply.
 
-        Sequential and batched execution are bit-identical; concurrent and
-        process execution are label-identical for the pure bundled backends.
+        Sequential and batched execution are bit-identical; concurrent
+        execution is label-identical for the pure bundled backends.
 
         ``table`` provides shared table context for every column (as in
         :meth:`annotate_table`); ``tables`` overrides it per column for
@@ -317,9 +316,7 @@ class ArcheType:
         """Per-call knobs override the config's executor/workers defaults."""
         if executor is None and batch_size is None:
             executor = self.config.executor
-        if workers is None and isinstance(executor, str) and executor in (
-            "concurrent", "process"
-        ):
+        if workers is None and executor == "concurrent":
             workers = self.config.workers
         return resolve_executor(executor, batch_size=batch_size, workers=workers)
 

@@ -185,29 +185,6 @@ class PipelineStats:
         """Zero every stage (multi-run experiments report per-run numbers)."""
         self._stages.clear()
 
-    def merge(self, other: "PipelineStats") -> None:
-        """Accumulate another instance's counters into this one."""
-        self.merge_snapshot(other.snapshot())
-
-    def merge_snapshot(
-        self, snapshot: "Mapping[str, Mapping[str, float]]"
-    ) -> None:
-        """Accumulate a :meth:`snapshot`-shaped mapping of counters.
-
-        The wire-format variant of :meth:`merge`: worker processes ship their
-        per-stage counters back as plain dicts (picklable, version-stable) and
-        the parent folds them in here.
-        """
-        for name, counters in snapshot.items():
-            self.record(
-                name,
-                seconds=float(counters.get("seconds", 0.0)),
-                calls=int(counters.get("calls", 0)),
-                cache_hits=int(counters.get("cache_hits", 0)),
-                store_hits=int(counters.get("store_hits", 0)),
-                inflight_hits=int(counters.get("inflight_hits", 0)),
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(
             f"{name}={stats.calls}c/{stats.seconds:.3f}s"

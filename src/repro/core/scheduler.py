@@ -71,7 +71,7 @@ from collections import OrderedDict, deque
 from contextlib import suppress
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.exceptions import ConfigurationError, SchedulerSaturatedError, StoreError
 from repro.llm.base import BatchParams, GenerationParams, LanguageModel, broadcast_params
@@ -98,8 +98,6 @@ class QueryStats:
     tier that absorbed it: ``n_cache_hits`` (LRU), ``n_store_hits`` (disk) and
     ``n_inflight_hits`` (coalesced onto an identical pending request).
     ``n_batches`` counts ``generate_batch`` calls issued by the microbatcher.
-    Every counter covers worker processes' prompts too, once absorbed
-    (:meth:`RequestScheduler.absorb_stats`).
     """
 
     n_queries: int = 0
@@ -147,18 +145,8 @@ class QueryStats:
         return self.n_hits / self.n_prompts
 
     def as_dict(self) -> dict[str, int]:
-        """A plain-dict copy of every counter (the ``merge`` wire format)."""
+        """A plain-dict copy of every counter."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def merge(self, delta: "Mapping[str, int]") -> None:
-        """Fold another instance's counters (as an ``as_dict`` mapping) in.
-
-        Used by the process executor to absorb worker-process accounting into
-        the parent engine, so ``query_count``/hit counters stay truthful no
-        matter which process paid for the model call.
-        """
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + int(delta.get(f.name, 0)))
 
     def reset(self) -> None:
         """Zero every counter (the cache and store, if any, are untouched)."""
@@ -176,8 +164,8 @@ class SchedulerStats:
     batching is actually combining independent callers' work rather than
     degrading to per-request model calls.  Coalesced requests and drained
     batches are counted once, in :class:`QueryStats` (``n_inflight_hits``,
-    ``n_batches``), which worker processes report back into; :meth:`snapshot`
-    reports them as ``n_coalesced`` and ``n_batches``.
+    ``n_batches``); :meth:`snapshot` reports them as ``n_coalesced`` and
+    ``n_batches``.
     """
 
     n_submitted: int = 0
@@ -824,17 +812,6 @@ class RequestScheduler:
         with self._lock:
             self.stats.reset()
             self.scheduler_stats.reset()
-
-    def absorb_stats(self, delta: Mapping[str, int]) -> None:
-        """Fold external per-prompt counters into this scheduler's stats.
-
-        The process executor runs the query/remap stages in worker processes,
-        each with its own scheduler; their :meth:`QueryStats.as_dict` deltas
-        are absorbed here so the parent annotator's ``query_count`` and hit
-        tiers describe the whole run, not just parent-side work.
-        """
-        with self._lock:
-            self.stats.merge(delta)
 
     def stats_snapshot(self) -> dict[str, object]:
         """The scheduler telemetry as a JSON-serializable dict."""

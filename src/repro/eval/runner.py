@@ -16,7 +16,7 @@ column-at-a-time through ``annotate_column``.  Both drives produce
 bit-identical predictions for the bundled annotators.
 
 ``executor`` / ``workers`` select the physical execution strategy
-(sequential, batched, concurrent, process) for pipeline annotators, and
+(sequential, batched, concurrent) for pipeline annotators, and
 per-stage :class:`repro.core.plan.PipelineStats` plus engine counters are
 captured into the result when the annotator exposes them.
 """
@@ -183,7 +183,7 @@ class ExperimentRunner:
       changes scheduling but never labels;
     * ``executor`` / ``workers`` — physical execution strategy for pipeline
       annotators (an :class:`repro.core.executor.Executor`, a name among
-      ``sequential``/``batched``/``concurrent``/``process``, or ``None``
+      ``sequential``/``batched``/``concurrent``, or ``None``
       for the historical ``batch_size`` semantics);
     * ``max_batch_wait`` / ``queue_depth`` — request-scheduler knobs applied
       to the annotator's engine when it exposes one: the microbatcher's

@@ -30,8 +30,7 @@ until the next clear.  The default
 :meth:`repro.llm.base.LanguageModel.clone_for_worker` (returning ``self``) is
 therefore sound and concurrent fan-out may share one instance.  Both memos
 are left out of the pickled state, so a model pickles to the same bytes
-before and after use (the process executor reuses its pool only while those
-bytes are equal).
+before and after use.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Three promises hold however the execute half is run: labels equal a plain
 ``annotate_column`` loop, a warm rerun costs zero model queries, and every
 requested prompt is resolved by exactly one tier.  The tests elsewhere pin
 them one axis at a time; the bugs found so far came from interactions
-between axes (a fan-out batch limit that replaced ``max_batch_size``, process
-workers that dropped the store, a store-write failure that stranded the
-futures of a batch).  So one hypothesis test draws the whole configuration
+between axes (a fan-out batch limit that replaced ``max_batch_size``, a
+store-write failure that stranded the futures of a batch).  So one hypothesis test draws the whole configuration
 — executor, chunking, workers, batch cap, cache size, store, remapper,
 sampler and column set — and checks every promise on each draw.
 
@@ -36,7 +35,7 @@ from typing import Callable
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.executor import ProcessExecutor, get_executor
+from repro.core.executor import get_executor
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
 from repro.core.remapping import list_remappers
 from repro.core.store import ResponseStore, RunManifest, SQLiteResponseStore
@@ -62,10 +61,8 @@ class WaveModel(LanguageModel):
     """Answers outside the label set until a prompt's retry budget runs out.
 
     The budget, 0 to 4 retries, and the final answer are pure functions of
-    the prompt text, so every executor (worker processes included) sees the
-    same answers; a budget of 4 outlasts the default ``resample_k`` of 3.
-    A batch above ``cap`` raises, wherever the batch runs.  Module-level so
-    the process executor can pickle it into its workers.
+    the prompt text, so every executor sees the same answers; a budget of 4
+    outlasts the default ``resample_k`` of 3.  A batch above ``cap`` raises.
     """
 
     name = "wave"
@@ -131,7 +128,7 @@ class Case:
     #: ``"columns"`` (``annotate_columns``) or ``"stream"`` (``annotate_stream``).
     entry: str
     #: The executor's own chunk: the batched batch size, or the concurrent
-    #: and process per-worker chunk (``None`` for the sequential executor).
+    #: per-thread chunk (``None`` for the sequential executor).
     chunk: int | None
     stream_chunk: int
     workers: int | None
@@ -150,18 +147,9 @@ class Case:
 
 @st.composite
 def cases(draw: Callable) -> Case:
-    # Worker pools are slow to start, so the process executor is drawn
-    # rarely; the explicit examples below always run it.
-    executor = draw(st.sampled_from(("sequential", "batched", "concurrent") * 4
-                                    + ("process",)))
-    if executor == "process":
-        workers: int | None = draw(st.integers(1, 2))
-        # Workers reopen the store by path, so an in-process fault
-        # wrapper cannot reach them.
-        store = draw(st.sampled_from(("none", "cold", "warm")))
-    else:
-        workers = draw(st.integers(1, 3)) if executor == "concurrent" else None
-        store = draw(st.sampled_from(("none", "cold", "warm", "failing")))
+    executor = draw(st.sampled_from(("sequential", "batched", "concurrent")))
+    workers = draw(st.integers(1, 3)) if executor == "concurrent" else None
+    store = draw(st.sampled_from(("none", "cold", "warm", "failing")))
     entry = draw(st.sampled_from(("columns", "stream")))
     columns = tuple(draw(st.lists(st.integers(0, len(POOL) - 1),
                                   min_size=1, max_size=8)))
@@ -318,22 +306,17 @@ def _check_case(case: Case, directory: Path) -> None:
             assert sum(annotator.query_count for annotator in reruns) == 0
             assert _outcomes(results) == _outcomes(reference)
     finally:
-        if isinstance(executor, ProcessExecutor):
-            executor.close()
         if store is not None:
             store.close()
 
 
 # Explicit examples pin the historical interaction bugs on every run, not
-# only when the draw reaches them.  Process workers that drop the store:
-_PROCESS = Case(
-    executor="process", entry="columns", chunk=None, stream_chunk=1, workers=2,
-    max_batch_size=2, cache_size=4096, store="cold", fail_after=0,
-    remapper="contains+resample", sampler="archetype", columns=(0, 1, 2, 3, 0),
-)
-# A fan-out batch limit (here 4 prompts a thread) that replaces the cap:
-_FANOUT = replace(
-    _PROCESS, executor="concurrent", store="none", max_batch_size=1,
+# only when the draw reaches them.  A fan-out batch limit (here 4 prompts a
+# thread) that replaces the cap:
+_FANOUT = Case(
+    executor="concurrent", entry="columns", chunk=None, stream_chunk=1,
+    workers=2, max_batch_size=1, cache_size=4096, store="none", fail_after=0,
+    remapper="contains+resample", sampler="archetype",
     columns=tuple(range(len(POOL))),
 )
 # A store-write failure that strands the futures of the failed batch:
@@ -341,20 +324,22 @@ _FAILING = replace(
     _FANOUT, workers=3, max_batch_size=None, store="failing", fail_after=1,
     sampler="firstk",
 )
+# A fanned-out stream, abandoned mid-chunk and resumed:
+_ABANDONED = replace(
+    _FANOUT, entry="stream", stream_chunk=2, max_batch_size=2,
+    columns=(0, 1, 2, 3, 0), abandon_after=3,
+)
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@example(case=_PROCESS)
-@example(case=replace(
-    _PROCESS, entry="stream", stream_chunk=3, workers=1, store="warm",
-    remapper="resample", sampler="firstk", columns=(4, 4, 5, 6, 7),
-))
 @example(case=_FANOUT)
 @example(case=_FAILING)
-# A stream abandoned mid-chunk and resumed by process workers:
+@example(case=_ABANDONED)
+# A fanned-out stream over a warm store:
 @example(case=replace(
-    _PROCESS, entry="stream", stream_chunk=2, store="none", abandon_after=3,
+    _ABANDONED, stream_chunk=3, workers=1, store="warm", remapper="resample",
+    sampler="firstk", columns=(4, 4, 5, 6, 7), abandon_after=None,
 ))
 @given(case=cases())
 def test_every_configuration_keeps_the_contract(case: Case) -> None:

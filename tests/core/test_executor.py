@@ -19,14 +19,12 @@ from repro.core.executor import (
     EXECUTOR_NAMES,
     BatchedExecutor,
     ConcurrentExecutor,
-    ProcessExecutor,
     get_executor,
     resolve_executor,
 )
 from repro.core.pipeline import ArcheType, ArcheTypeConfig
 from repro.core.remapping import NULL_LABEL
 from repro.core.rules import SOTAB_27_RULES
-from repro.core.store import ResponseStore
 from repro.core.table import Column
 from repro.datasets.registry import load_benchmark
 from repro.eval.runner import ExperimentRunner
@@ -200,8 +198,16 @@ class TestExecutorResolution:
         assert concurrent.workers == 8
 
     def test_get_executor_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_executor("warp-drive")
+        """The name is checked before any knob, so a ``workers`` that only
+        a known executor could honour does not mask the unknown name."""
+        state = Column(values=["Alaska", "Colorado", "Kentucky"])
+        for name in ("warp-drive", "process"):
+            for workers in (None, 2):
+                with pytest.raises(ConfigurationError, match="unknown executor"):
+                    get_executor(name, workers=workers)
+            config = ArcheTypeConfig(model="gpt", label_set=LABELS, executor=name)
+            with pytest.raises(ConfigurationError, match="unknown executor"):
+                ArcheType(config).annotate_columns([state])
 
     def test_conflicting_batch_size_rejected_cleanly(self):
         """Knobs the named executor cannot honour are clean config errors."""
@@ -234,24 +240,39 @@ class TestExecutorResolution:
 
     def test_workers_without_concurrent_executor_rejected(self):
         """workers must not be silently ignored on a single-threaded run."""
-        with pytest.raises(ConfigurationError, match="concurrent or process"):
+        with pytest.raises(ConfigurationError, match="concurrent executor"):
             resolve_executor(None, workers=8)
-        with pytest.raises(ConfigurationError, match="concurrent or process"):
+        with pytest.raises(ConfigurationError, match="concurrent executor"):
             get_executor("batched", workers=8)
-        with pytest.raises(ConfigurationError, match="concurrent or process"):
+        with pytest.raises(ConfigurationError, match="concurrent executor"):
             get_executor("sequential", workers=8)
 
-    def test_get_executor_process(self):
-        process = get_executor("process", workers=3)
-        assert isinstance(process, ProcessExecutor)
-        assert process.workers == 3
-        # batch_size maps onto the per-worker chunk size, like the
-        # concurrent executor's chunking knob.
-        chunked = get_executor("process", workers=2, batch_size=9)
-        assert isinstance(chunked, ProcessExecutor)
-        assert chunked.chunk_size == 9
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(workers=0)
+    def test_config_executor_and_workers_defaults(self):
+        """ArcheTypeConfig(executor=..., workers=...) applies when the call
+        site passes neither."""
+        benchmark = load_benchmark("sotab-27", n_columns=12, seed=5)
+        reference = ArcheType(ArcheTypeConfig(
+            model="gpt", label_set=benchmark.label_set, sample_size=5, seed=0,
+        ))
+        configured = ArcheType(ArcheTypeConfig(
+            model="gpt", label_set=benchmark.label_set, sample_size=5, seed=0,
+            executor="concurrent", workers=2,
+        ))
+        assert configured._resolve_executor(None, None, None) == \
+            ConcurrentExecutor(workers=2)
+        workload = [bc.column for bc in benchmark.columns]
+        expected = [reference.annotate_column(column).label for column in workload]
+        assert [r.label for r in configured.annotate_columns(workload)] == expected
+        # An explicit executor still overrides the config default (fresh
+        # annotator: each planned column advances the RNG stream).
+        override = ArcheType(ArcheTypeConfig(
+            model="gpt", label_set=benchmark.label_set, sample_size=5, seed=0,
+            executor="concurrent", workers=2,
+        ))
+        assert [
+            r.label
+            for r in override.annotate_columns(workload, executor="sequential")
+        ] == expected
 
 
 class ShortReturningModel(LanguageModel):
@@ -303,170 +324,8 @@ class TestShortReturningBackend:
             )
 
 
-class UnpicklableModel(LanguageModel):
-    """A backend holding process-local state that cannot cross a fork."""
-
-    name = "unpicklable"
-    context_window = 2048
-
-    def __init__(self) -> None:
-        self.session = lambda prompt: "state"  # lambdas never pickle
-
-    def generate(self, prompt: str, params: GenerationParams | None = None) -> str:
-        return self.session(prompt)
-
-
-class MemoryStore(ResponseStore):
-    """A ``ResponseStore`` that lives in one process's memory."""
-
-    kind = "memory"
-
-    def __init__(self, path) -> None:
-        self.path = path
-        self.entries: dict[tuple[str, GenerationParams], str] = {}
-
-    def get(self, prompt, params):
-        return self.entries.get((prompt, params))
-
-    def put(self, prompt, params, response):
-        self.entries.setdefault((prompt, params), response)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-class TestProcessExecutor:
-    """ISSUE 7 tentpole: worker processes, bit-identical labels, truthful
-    accounting."""
-
-    def test_process_matches_pre_refactor_golden(self):
-        """Acceptance: bit-identical labels to the sequential executor."""
-        benchmark = _golden_benchmark()
-        annotator = _golden_annotator(benchmark)
-        results = annotator.annotate_columns(
-            [bc.column for bc in benchmark.columns],
-            executor="process",
-            workers=4,
-        )
-        assert [r.label for r in results] == GOLDEN_SOTAB_GPT
-
-    def test_worker_accounting_absorbed_into_parent(self):
-        """query_count and stage stats must cover worker-side model calls."""
-        benchmark = _golden_benchmark()
-        reference = _golden_annotator(benchmark)
-        workload = [bc.column for bc in benchmark.columns]
-        [reference.annotate_column(column) for column in workload]
-
-        annotator = _golden_annotator(benchmark)
-        annotator.annotate_columns(workload, executor="process", workers=3)
-        assert annotator.query_count == reference.query_count
-        stages = {row["stage"]: row for row in annotator.stats.as_rows()}
-        assert stages["query"]["calls"] > 0
-        assert stages["remap"]["calls"] > 0
-
-    def test_pool_reused_across_stream_chunks(self):
-        """annotate_stream executes chunk-at-a-time through ONE pool."""
-        benchmark = _golden_benchmark()
-        annotator = _golden_annotator(benchmark)
-        executor = ProcessExecutor(workers=2)
-        with executor:
-            labels = [
-                r.label
-                for r in annotator.annotate_stream(
-                    (bc.column for bc in benchmark.columns),
-                    chunk_size=20,
-                    executor=executor,
-                )
-            ]
-            assert labels == GOLDEN_SOTAB_GPT
-            assert executor._pool is not None
-
-    def test_pool_reused_after_in_process_annotation(self):
-        """In-process calls fill the simulated model's label-set memo; the
-        memo must stay out of the pickled worker spec, or the spec fails to
-        pickle (concept scorers are lambdas) or changes, rebuilding the pool.
-        The call in between adds a label set: the numeric restriction."""
-        benchmark = load_benchmark("sotab-27", n_columns=24, seed=5)
-        columns = [bc.column for bc in benchmark.columns]
-        numeric = Column(values=["12", "7", "3.5", "40", "18"])
-        config = ArcheTypeConfig(
-            model="gpt", label_set=benchmark.label_set, sample_size=5, seed=0,
-            numeric_labels=("number", "price", "weight"),
-        )
-
-        def labels(results):
-            return [r.label for r in results]
-
-        reference = ArcheType(config)
-        expected = [
-            reference.annotate_column(columns[0]).label,
-            labels(reference.annotate_columns(columns[1:12], executor="sequential")),
-            reference.annotate_column(numeric).label,
-            labels(reference.annotate_columns(columns[12:], executor="sequential")),
-        ]
-
-        annotator = ArcheType(config)
-        with ProcessExecutor(workers=2) as executor:
-            first = annotator.annotate_column(columns[0]).label
-            one = labels(annotator.annotate_columns(columns[1:12], executor=executor))
-            pool = executor._pool
-            between = annotator.annotate_column(numeric).label
-            two = labels(annotator.annotate_columns(columns[12:], executor=executor))
-            assert pool is not None
-            assert executor._pool is pool
-        assert [first, one, between, two] == expected
-
-    def test_non_sqlite_store_is_a_clean_config_error(self, tmp_path):
-        """Workers can only share a SQLite store; any other store fails up
-        front instead of leaving the workers without a warm tier."""
-        annotator = _golden_annotator(_golden_benchmark())
-        store = MemoryStore(tmp_path / "memory")
-        annotator.attach_store(store)
-        workload = [Column(values=["Alaska", "Colorado", "Kentucky"])]
-        with pytest.raises(ConfigurationError, match="SQLite"):
-            annotator.annotate_columns(workload, executor="process", workers=2)
-        assert annotator.query_count == 0
-        assert len(store) == 0
-
-    def test_unpicklable_model_is_a_clean_config_error(self):
-        annotator = ArcheType(ArcheTypeConfig(
-            model=UnpicklableModel(), label_set=LABELS, remapper="none",
-        ))
-        workload = [Column(values=["Alaska", "Colorado", "Kentucky"])]
-        with pytest.raises(ConfigurationError, match="pickle"):
-            annotator.annotate_columns(workload, executor="process", workers=2)
-
-    def test_config_executor_and_workers_defaults(self):
-        """ArcheTypeConfig(executor=..., workers=...) applies when the call
-        site passes neither."""
-        benchmark = load_benchmark("sotab-27", n_columns=12, seed=5)
-        reference = ArcheType(ArcheTypeConfig(
-            model="gpt", label_set=benchmark.label_set, sample_size=5, seed=0,
-        ))
-        configured = ArcheType(ArcheTypeConfig(
-            model="gpt", label_set=benchmark.label_set, sample_size=5, seed=0,
-            executor="process", workers=2,
-        ))
-        workload = [bc.column for bc in benchmark.columns]
-        expected = [reference.annotate_column(column).label for column in workload]
-        assert [r.label for r in configured.annotate_columns(workload)] == expected
-        # An explicit executor still overrides the config default (fresh
-        # annotator: each planned column advances the RNG stream).
-        override = ArcheType(ArcheTypeConfig(
-            model="gpt", label_set=benchmark.label_set, sample_size=5, seed=0,
-            executor="process", workers=2,
-        ))
-        assert [
-            r.label
-            for r in override.annotate_columns(workload, executor="sequential")
-        ] == expected
-
-
 class CappedModel(SimulatedLLM):
-    """The simulated gpt backend, refusing any batch above ``CAP`` prompts.
-
-    Module-level so the process executor can pickle it into its workers.
-    """
+    """The simulated gpt backend, refusing any batch above ``CAP`` prompts."""
 
     CAP = 4
 
@@ -479,12 +338,12 @@ class CappedModel(SimulatedLLM):
 
 
 def _workers(name: str) -> int | None:
-    return 2 if name in ("concurrent", "process") else None
+    return 2 if name == "concurrent" else None
 
 
 @pytest.mark.parametrize("name", EXECUTOR_NAMES)
 class TestEveryExecutor:
-    """Contracts every submission policy keeps, the process pool included."""
+    """Contracts every submission policy keeps."""
 
     def test_max_batch_size_caps_every_model_batch(self, name):
         benchmark = _golden_benchmark()
@@ -523,10 +382,9 @@ class TestEveryExecutor:
 class RetryBudgetModel(LanguageModel):
     """Answers outside the label set until a prompt's retry budget runs out.
 
-    The budget, 0 to 4 retries, is a pure function of the prompt text, so a
-    worker process answers exactly as the parent would; a budget of 4
-    outlasts the default ``resample_k`` of 3, so that column gives up.
-    Module-level so the process executor can pickle it into its workers.
+    The budget, 0 to 4 retries, is a pure function of the prompt text; a
+    budget of 4 outlasts the default ``resample_k`` of 3, so that column
+    gives up.
     """
 
     name = "retry-budget"
@@ -579,14 +437,10 @@ class TestRemapWaves:
         )
         assert _remap_calls(annotator) == len(results)
 
-    @pytest.mark.parametrize("name", ["batched", "process"])
+    @pytest.mark.parametrize("name", ["batched"])
     def test_one_model_batch_per_resample_attempt(self, name):
         _, reference, golden = _run_retry_workload("sequential")
-        if name == "process":
-            with ProcessExecutor(workers=1) as executor:
-                model, annotator, results = _run_retry_workload(executor)
-        else:
-            model, annotator, results = _run_retry_workload(BatchedExecutor())
+        model, annotator, results = _run_retry_workload(name)
 
         def outcome(result):
             return (result.label, result.remapped, result.raw_response)
@@ -599,9 +453,7 @@ class TestRemapWaves:
         waves = min(max(budgets), self.K)
         assert annotator.engine.stats.n_batches == 1 + waves
         assert _remap_calls(annotator) == len(results)
-        if name == "batched":
-            # The model ran in this process: check each batch's contents.
-            assert model.batches == [prompts] + [
-                [p for p, budget in zip(prompts, budgets) if budget >= attempt]
-                for attempt in range(1, waves + 1)
-            ]
+        assert model.batches == [prompts] + [
+            [p for p, budget in zip(prompts, budgets) if budget >= attempt]
+            for attempt in range(1, waves + 1)
+        ]

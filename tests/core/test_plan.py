@@ -143,16 +143,15 @@ class TestPipelineStats:
         assert annotator.cache_hit_count == 1
 
     def test_merge_and_rows(self):
-        first = PipelineStats()
-        first.record(STAGE_SAMPLE, seconds=0.5, calls=2)
-        second = PipelineStats()
-        second.record(STAGE_SAMPLE, seconds=0.25, calls=1, cache_hits=3)
-        first.merge(second)
-        snapshot = first.snapshot()
+        """Two records of one stage accumulate into one row."""
+        stats = PipelineStats()
+        stats.record(STAGE_SAMPLE, seconds=0.5, calls=2)
+        stats.record(STAGE_SAMPLE, seconds=0.25, calls=1, cache_hits=3)
+        snapshot = stats.snapshot()
         assert snapshot[STAGE_SAMPLE]["calls"] == 3
         assert snapshot[STAGE_SAMPLE]["seconds"] == pytest.approx(0.75)
         assert snapshot[STAGE_SAMPLE]["cache_hits"] == 3
-        rows = first.as_rows()
+        rows = stats.as_rows()
         assert rows[0]["stage"] == STAGE_SAMPLE
 
     def test_timed_context_manager(self):

@@ -149,25 +149,15 @@ class TestRunnerDrives:
         assert second.counters["n_queries"] == 0
         assert second.counters["n_cache_hits"] > 0
 
-    def test_process_drive_reports_worker_batches(self):
-        """Model batches drained in worker processes reach the summary row."""
-        benchmark = load_benchmark("sotab-27", n_columns=60, seed=3)
-        annotator = build_archetype_method(benchmark, model="gpt", seed=1)
-        runner = ExperimentRunner(executor="process", workers=2)
-        result = runner.evaluate(annotator, benchmark, "process")
-        assert result.summary_row()["n_batches"] == annotator.engine.stats.n_batches
-        assert annotator.engine.stats.n_batches == 2
-        assert runner.totals["n_batches"] == 2
-
     @pytest.mark.parametrize(
         ("executor", "workers"),
-        [("batched", None), ("concurrent", 2), ("process", 2)],
+        [("batched", None), ("concurrent", 2)],
     )
     def test_coalesced_requests_reported_under_every_executor(
         self, executor, workers
     ):
         """Each column's twin coalesces onto its pending request, and both
-        the row and the runner totals count it, wherever it was queried."""
+        the row and the runner totals count it, whichever executor ran."""
         benchmark = load_benchmark("sotab-27", n_columns=30, seed=3)
         doubled = dataclasses.replace(
             benchmark, columns=[c for c in benchmark.columns for _ in range(2)]

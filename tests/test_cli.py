@@ -124,10 +124,10 @@ class TestExecutorKnobs:
         assert score_fields(default_out) == score_fields(concurrent_out)
 
     def test_parser_rejects_unknown_executor(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["evaluate", "--executor", "warp-drive"]
-            )
+        for name in ("warp-drive", "process"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["evaluate", "--executor", name])
+            assert exit_info.value.code == 2
 
     def test_parser_rejects_nonpositive_workers(self):
         with pytest.raises(SystemExit):
