@@ -1,6 +1,6 @@
 """CI gate for the experiment suite: warm replays and resumes cost 0 queries.
 
-Runs the whole registered suite three times against one persistent store
+Runs the whole registered suite four times against one persistent store
 under ``--cache-dir``:
 
 1. **cold** — pays every model call and fills the response store;
@@ -9,14 +9,18 @@ under ``--cache-dir``:
 3. **resumed** — resumes the warm pass's suite run id, so every shard must
    come back replayed from the suite journal (``cached``), with **zero** on
    every run counter (``RUN_COUNTERS``: no queries, hits or batches) and the
-   cold pass's metrics.
+   cold pass's metrics;
+4. **resumed-cold** — the same gates, resuming the cold pass's run id.  Its
+   journal records model queries, batches and coalesced requests, so a
+   replay that reports the recorded run's work as its own shows here; the
+   warm journal holds store hits alone.
 
-Exits non-zero if any experiment fails, the warm pass touched the model, the
+Exits non-zero if any experiment fails, the warm pass touched the model, a
 resumed pass reported any run counter, a resumed shard re-ran, or any metric
 diverged from the cold pass.
 ``results.json`` and ``REPORT.md`` from each pass are left under
-``<cache-dir>/cold/``, ``<cache-dir>/warm/`` and ``<cache-dir>/resumed/`` so
-CI can upload them as artifacts.
+``<cache-dir>/<pass>/`` (``cold``, ``warm``, ``resumed``, ``resumed-cold``)
+so CI can upload them as artifacts.
 
 Usage::
 
@@ -50,16 +54,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cache_dir = Path(args.cache_dir)
 
+    # Each resumed pass names the pass whose suite run id it resumes.
+    resumes = {"resumed": "warm", "resumed-cold": "cold"}
     passes = {}
-    for label in ("cold", "warm", "resumed"):
+    for label in ("cold", "warm", *resumes):
         print(f"=== {label} pass ===", flush=True)
+        resume = passes[resumes[label]].suite_run_id if label in resumes else None
         passes[label] = run_suite(
             SuiteOptions(
                 quick=not args.full,
                 jobs=args.jobs,
                 seed=args.seed,
                 cache_dir=cache_dir,
-                resume=passes["warm"].suite_run_id if label == "resumed" else None,
+                resume=resume,
                 output_dir=cache_dir / label,
             )
         )
@@ -73,8 +80,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"{'; '.join(experiment.errors)}"
                 )
     cold_metrics = {e.name: e.metrics for e in passes["cold"].experiments}
-    for label in ("warm", "resumed"):
-        # The warm pass is answered by the store; the resumed pass replays
+    for label in ("warm", *resumes):
+        # The warm pass is answered by the store; a resumed pass replays
         # the journal, which touches no tier and drains no batch.
         totals = passes[label].totals
         checked = ("n_queries",) if label == "warm" else RUN_COUNTERS
@@ -94,16 +101,18 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"{label} metrics diverged from cold for: {', '.join(diverged)}"
             )
-    rerun = [
-        f"{experiment.name}/{shard['shard']}"
-        for experiment in passes["resumed"].experiments
-        for shard in experiment.shards
-        if not shard["cached"]
-    ]
-    if rerun:
-        failures.append(
-            f"resumed pass re-ran {len(rerun)} journalled shards: {', '.join(rerun)}"
-        )
+    for label in resumes:
+        rerun = [
+            f"{experiment.name}/{shard['shard']}"
+            for experiment in passes[label].experiments
+            for shard in experiment.shards
+            if not shard["cached"]
+        ]
+        if rerun:
+            failures.append(
+                f"{label} pass re-ran {len(rerun)} journalled shards: "
+                f"{', '.join(rerun)}"
+            )
 
     if failures:
         for failure in failures:
@@ -114,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
         f"OK: warm suite replay issued 0 model queries "
         f"({passes['warm'].totals['n_store_hits']} store hits) and "
         f"reproduced all {len(cold_metrics)} experiments bit-identically; "
-        f"the resume replayed all {n_shards} shards from the journal"
+        f"both resumes replayed all {n_shards} shards from the journal"
     )
     return 0
 
