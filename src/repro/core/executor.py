@@ -23,12 +23,14 @@ submits to the scheduler before awaiting any of them.
 Both produce identical labels for the pure bundled backends; they differ
 only in wall-clock and in how many times the model is consulted.  Stage 4
 (label remapping) runs through :func:`_remap_plans` over every plan of an
-executed chunk at once, on the calling thread, so resample requeries go out
-in *waves*: one :meth:`RequestScheduler.requery` model batch per attempt,
-holding every plan whose answer is still outside its label set (see
-:meth:`repro.core.remapping.Remapper.remap_many`).  Each plan sees the same
-retries as in the column-at-a-time loop, which preserves the same
-bit-identical labels; only the grouping of model calls changes.
+executed chunk at once, so resample requeries go out in *waves*: one
+:meth:`RequestScheduler.requery` per attempt, holding every plan whose answer
+is still outside its label set (see
+:meth:`repro.core.remapping.Remapper.remap_many`).  Under the batched policy a
+wave is one model batch; under the concurrent policy it fans out over the
+same threads as the first queries.  Each plan sees the same retries as in the
+column-at-a-time loop, which preserves the same bit-identical labels; only
+the grouping of model calls changes.
 """
 
 from __future__ import annotations
@@ -87,18 +89,27 @@ def _remap_plans(
     engine: RequestScheduler,
     remapper: Remapper,
     stats: PipelineStats,
+    workers: int = 1,
+    chunk_size: int | None = None,
 ) -> list[AnnotationResult]:
     """Run stage 4 (label remapping) over plans and their first responses.
 
-    Resample retries go out in waves: one :meth:`RequestScheduler.requery` batch
-    per attempt, holding every plan still outside its label set.  The stage
-    counts one call per plan, and its hits are attributed to the remap stage.
+    Resample retries go out in waves: one :meth:`RequestScheduler.requery`
+    per attempt, holding every plan still outside its label set, fanned out
+    over ``workers`` threads in batches of at most ``chunk_size`` when
+    ``workers > 1``.  The stage counts one call per plan, and its hits are
+    attributed to the remap stage.
     """
     prompts = [plan.prompt for plan in plans]
     texts = [prompt.text for prompt in prompts]  # type: ignore[union-attr]
 
     def requery_many(indices: Sequence[int], attempt: int) -> list[str]:
-        return engine.requery([texts[index] for index in indices], attempt)
+        return engine.requery(
+            [texts[index] for index in indices],
+            attempt,
+            workers=workers,
+            chunk_size=chunk_size,
+        )
 
     with _attributed_hits(engine, stats, STAGE_REMAP), stats.timed(
         STAGE_REMAP, calls=len(plans)
@@ -211,8 +222,9 @@ class ConcurrentExecutor(Executor):
     :meth:`LanguageModel.clone_for_worker` model clones while dedup, caching
     and stats stay centralized.  Responses reassemble positionally, so the
     labels are identical to the batched path for the pure bundled backends.
-    Remapping (stage 4) runs on the main thread over every pending plan at
-    once, so resample retries go out as one model batch per attempt.
+    Remapping (stage 4) runs over every pending plan at once, and each
+    resample wave fans out over the same ``workers`` and ``chunk_size`` as
+    the first queries.
 
     ``chunk_size`` bounds each thread's drain batches; by default the
     prompts are split evenly across ``workers``.
@@ -245,9 +257,11 @@ class ConcurrentExecutor(Executor):
                 responses = engine.query_batch_fanout(
                     prompts, workers=self.workers, chunk_size=self.chunk_size
                 )
-            for plan, result in zip(
-                pending, _remap_plans(pending, responses, engine, remapper, stats)
-            ):
+            remapped = _remap_plans(
+                pending, responses, engine, remapper, stats,
+                workers=self.workers, chunk_size=self.chunk_size,
+            )
+            for plan, result in zip(pending, remapped):
                 produced[plan.position] = result
         return _assemble(plans, produced)
 

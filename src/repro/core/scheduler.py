@@ -23,8 +23,9 @@ The request lifecycle::
                           │
                  microbatch drain: a waiting caller becomes the *leader*,
                  pops up to ``max_batch_size`` requests (lingering up to
-                 ``max_wait`` for stragglers), and issues ONE
-                 ``generate_batch`` call on a pooled model clone
+                 ``max_wait`` for stragglers, but only while another batch
+                 is at the model), and issues ONE ``generate_batch`` call
+                 on a pooled model clone
                           │
                  completions → stats + LRU + store write-through (one
                  ``put_many`` per batch) → futures
@@ -35,6 +36,9 @@ single-threaded caller therefore pays zero added latency — submit one prompt,
 wait, become leader, drain immediately — while concurrent callers get
 continuous batching for free: while one leader generates, the other threads
 keep submitting, so the next leader drains a larger, cross-request batch.
+The linger follows the same signal: a leader waits for stragglers only while
+another batch is at the model, which is when stragglers keep arriving; on an
+idle model a partial batch leaves at once, so light traffic pays no linger.
 This is the same shape inference-serving stacks use, GIL-friendly and safe to
 re-enter (a remap-stage requery submits and waits like any other caller).
 
@@ -158,11 +162,12 @@ class QueryStats:
 class SchedulerStats:
     """The scheduler's own telemetry, alongside the per-prompt QueryStats.
 
-    ``n_cross_request_batches`` counts drained batches that mixed requests
-    from more than one submitter (distinct submitting threads, or a request
-    that other submitters coalesced onto) — the signal that continuous
-    batching is actually combining independent callers' work rather than
-    degrading to per-request model calls.  Coalesced requests and drained
+    ``n_cross_request_batches`` counts drained batches that served more
+    than one submitter: requests from distinct submitting threads, or a
+    request that other submitters coalesced onto.  The second kind includes
+    one-prompt batches, so the count stays high when every batch holds a
+    single prompt and is no proof that batching combines distinct prompts;
+    the batch-size histogram shows that.  Coalesced requests and drained
     batches are counted once, in :class:`QueryStats` (``n_inflight_hits``,
     ``n_batches``); :meth:`snapshot` reports them as ``n_coalesced`` and
     ``n_batches``.
@@ -260,10 +265,11 @@ class RequestScheduler:
         queued, which keeps one ``query_batch`` call one model batch).
     max_wait:
         Seconds a leader lingers for stragglers before draining a batch
-        smaller than ``max_batch_size``.  Only meaningful when
-        ``max_batch_size`` is set and other submitters are active; the
-        default ``0.0`` never delays a drain, so single-threaded callers pay
-        no added latency.
+        smaller than its cap, and only when another batch is already at the
+        model: on an idle model a partial batch leaves at once.  With no cap
+        (``max_batch_size=None`` and no per-call ``batch_limit``) a leader
+        that lingers waits out the whole window.  The default ``0.0`` never
+        delays a drain.
     queue_depth:
         Bound on the admission queue.  A full queue applies backpressure:
         submitters block (or help drain, for callers that also wait) until a
@@ -302,6 +308,8 @@ class RequestScheduler:
         self._inflight: dict[RequestKey, _Request] = {}  # guarded-by: _lock
         self._cache: "OrderedDict[RequestKey, str]" = OrderedDict()  # guarded-by: _lock
         self._clones: list[LanguageModel] = []  # guarded-by: _lock
+        #: Batches handed out by _take_batch whose generation has not ended.
+        self._batches_at_model = 0  # guarded-by: _lock
         self._drainers: list[threading.Thread] = []  # guarded-by: _lock
         self._drain_stop = False  # guarded-by: _lock
 
@@ -466,18 +474,24 @@ class RequestScheduler:
         return True
 
     def _take_batch(self, batch_limit: int | None) -> list[_Request]:  # holds: _lock
-        """Select the next microbatch (lock held).
+        """Select the next microbatch (lock held) and count it at the model.
 
         A leader lingers up to ``max_wait`` for the queue to reach the batch
-        cap — the knob that trades a bounded latency bump for fuller
-        cross-request batches under concurrent open-loop traffic.
+        cap, but only when another batch is already at the model: then the
+        traffic that keeps it busy is still arriving, and the wait buys a
+        fuller cross-request batch.  On an idle model nothing says a
+        straggler is coming, so a partial batch leaves at once.
         """
         limit = self.max_batch_size
         if batch_limit is not None and (limit is None or batch_limit < limit):
             limit = batch_limit
         if not self._queue:
             return []
-        if self.max_wait > 0 and (limit is None or len(self._queue) < limit):
+        if (
+            self.max_wait > 0
+            and self._batches_at_model > 0
+            and (limit is None or len(self._queue) < limit)
+        ):
             deadline = time.monotonic() + self.max_wait
             # Spurious-wakeup safe: the predicate (queue non-empty, cap not
             # reached) is re-evaluated at the top of every iteration, and the
@@ -491,14 +505,23 @@ class RequestScheduler:
                 return []
         take = len(self._queue) if limit is None else min(limit, len(self._queue))
         batch = [self._queue.popleft() for _ in range(take)]
+        self._batches_at_model += 1
         self._space.notify_all()
         return batch
 
     # ----------------------------------------------------------- generation
     def _generate(self, batch: list[_Request]) -> None:
-        """Issue one ``generate_batch`` call and settle the batch's futures."""
-        clone = self._acquire_clone()
+        """Issue one ``generate_batch`` call and settle the batch's futures.
+
+        Whatever ends the generation (completions, a model exception, a
+        ``clone_for_worker`` that raises), the ``finally`` uncounts the batch
+        from the model before any of its futures settles, so a waiter that
+        sees its answer never finds its own batch still counted.
+        """
+        clone: LanguageModel | None = None
+        error: BaseException | None = None
         try:
+            clone = self._acquire_clone()
             completions = clone.generate_batch(
                 [request.prompt for request in batch],
                 [request.params for request in batch],
@@ -509,16 +532,18 @@ class RequestScheduler:
                     f"completions for {len(batch)} prompts"
                 )
         except BaseException as exc:
-            self._settle(batch, error=exc)
-            # A model failure must reach every waiter (via their futures)
-            # without wedging the drain loop for later requests; interrupts
-            # and other non-Exception signals still propagate to the leader.
-            if not isinstance(exc, Exception):
-                raise
-            return
+            error = exc
         finally:
-            self._release_clone(clone)
-        self._settle(batch, completions=completions)
+            self._leave_model(clone)
+        if error is None:
+            self._settle(batch, completions=completions)
+            return
+        # A model failure must reach every waiter (via their futures) without
+        # wedging the drain loop for later requests; interrupts and other
+        # non-Exception signals still propagate to the leader.
+        self._settle(batch, error=error)
+        if not isinstance(error, Exception):
+            raise error
 
     def _settle(
         self,
@@ -593,9 +618,12 @@ class RequestScheduler:
                 return self._clones.pop()
         return self.model.clone_for_worker()
 
-    def _release_clone(self, clone: LanguageModel) -> None:
+    def _leave_model(self, clone: LanguageModel | None) -> None:
+        """Uncount a batch from the model and pool its clone, if it got one."""
         with self._lock:
-            self._clones.append(clone)
+            self._batches_at_model -= 1
+            if clone is not None:
+                self._clones.append(clone)
 
     def submit_async(
         self,
@@ -624,10 +652,10 @@ class RequestScheduler:
         drain the queue themselves.  An asyncio front end cannot — awaiting a
         future must never run model generation on the event-loop thread — so
         a long-running service starts drainers that block on the arrival
-        condition, linger (``max_wait``) and drain microbatches exactly like
-        a waiting caller would.  Drainers and waiting callers cooperate
-        through the same leader election: whoever takes the lock first leads
-        the next batch.
+        condition, linger (``max_wait``, only while another batch is at the
+        model) and drain microbatches exactly like a waiting caller would.
+        Drainers and waiting callers cooperate through the same leader
+        election: whoever takes the lock first leads the next batch.
         """
         if count <= 0:
             raise ConfigurationError("drainer count must be > 0")
@@ -760,7 +788,13 @@ class RequestScheduler:
             thread.join()
         return [future.result() for future in futures]  # type: ignore[union-attr]
 
-    def requery(self, prompts: Sequence[str], attempt: int) -> list[str]:
+    def requery(
+        self,
+        prompts: Sequence[str],
+        attempt: int,
+        workers: int = 1,
+        chunk_size: int | None = None,
+    ) -> list[str]:
         """One resample wave: re-ask ``prompts`` at permuted hyperparameters.
 
         Remap-resample (Algorithm 3) calls this once per attempt with every
@@ -769,15 +803,22 @@ class RequestScheduler:
         wait, so the wave drains as one ``generate_batch`` call, duplicates
         (and concurrent retries of the same ``(prompt, attempt)``) coalesce
         in flight, and completions are cached and persisted like any other.
-        A bare ``str`` is rejected rather than re-asked character by
-        character.
+        With ``workers > 1`` it is :meth:`query_batch_fanout` instead, so a
+        concurrent executor's waves drain across as many leaders (in batches
+        of at most ``chunk_size``) as its first queries did.  A bare ``str``
+        is rejected rather than re-asked character by character.
         """
         if isinstance(prompts, str):
             raise TypeError(
                 "requery takes a sequence of prompts (one resample wave), "
                 "not a single str"
             )
-        return self.query_batch(prompts, self.params.permuted(attempt))
+        params = self.params.permuted(attempt)
+        if workers > 1:
+            return self.query_batch_fanout(
+                prompts, params, workers=workers, chunk_size=chunk_size
+            )
+        return self.query_batch(prompts, params)
 
     # -------------------------------------------------------------- caching
     def _cache_get(self, key: RequestKey) -> str | None:  # holds: _lock

@@ -13,9 +13,11 @@ The asyncio↔scheduler bridge is deliberately simple: the event loop admits
 the request, then parks the annotation job on the worker pool via
 ``run_in_executor``.  Worker threads block inside the scheduler like any
 other caller, which makes them drain leaders — so single-column requests
-arriving concurrently linger ``max_batch_wait`` and leave as one
-cross-request model batch, and identical prompts across sockets coalesce
-onto one in-flight future.  The event loop itself never blocks.
+that arrive while another batch is at the model linger up to
+``max_batch_wait`` and leave as one cross-request model batch, a request
+that finds the model idle leaves at once, and identical prompts across
+sockets coalesce onto one in-flight future.  The event loop itself never
+blocks.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ must produce the same labels for the pure bundled backends.
 
 from __future__ import annotations
 
+import threading
 import zlib
 from collections import Counter
 
@@ -29,7 +30,7 @@ from repro.core.table import Column
 from repro.datasets.registry import load_benchmark
 from repro.eval.runner import ExperimentRunner
 from repro.exceptions import ConfigurationError
-from repro.llm.base import GenerationParams, LanguageModel
+from repro.llm.base import GenerationParams, LanguageModel, broadcast_params
 from repro.llm.simulated import SimulatedLLM
 
 LABELS = ["state", "person", "url", "number", "text"]
@@ -408,6 +409,30 @@ class RetryBudgetModel(LanguageModel):
         return super().generate_batch(prompts, params)
 
 
+class BarrierResampleModel(LanguageModel):
+    """Answers out of the label set, then in it on the first resample.
+
+    Every resample batch waits on a barrier of ``workers`` parties, so a
+    resample wave drained by fewer leaders breaks the barrier.
+    """
+
+    name = "barrier-resample"
+    context_window = 2048
+
+    def __init__(self, workers: int) -> None:
+        self.barrier = threading.Barrier(workers, timeout=2.0)
+
+    def generate(self, prompt: str, params: GenerationParams | None = None) -> str:
+        if (params or GenerationParams()).resample_index == 0:
+            return "no idea"
+        return LABELS[0]
+
+    def generate_batch(self, prompts, params=None) -> list[str]:
+        if any(p.resample_index > 0 for p in broadcast_params(prompts, params)):
+            self.barrier.wait()
+        return super().generate_batch(prompts, params)
+
+
 def _run_retry_workload(executor):
     """Annotate 30 unique columns with the retry-budget model in one execute."""
     columns = [
@@ -457,3 +482,21 @@ class TestRemapWaves:
             [p for p, budget in zip(prompts, budgets) if budget >= attempt]
             for attempt in range(1, waves + 1)
         ]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_concurrent_waves_fan_out_across_the_workers(self, workers):
+        model = BarrierResampleModel(workers)
+        annotator = ArcheType(ArcheTypeConfig(
+            model=model, label_set=LABELS, remapper="resample",
+            max_batch_size=1, seed=0,
+        ))
+        columns = [
+            Column(values=[f"value {index} {row}" for row in range(3)])
+            for index in range(4 * workers)
+        ]
+        results = annotator.annotate_columns(
+            columns, executor="concurrent", workers=workers
+        )
+        assert [r.label for r in results] == [LABELS[0]] * len(columns)
+        # One-prompt batches: every column's first query and one resample.
+        assert annotator.engine.stats.n_batches == 2 * len(columns)

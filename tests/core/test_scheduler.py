@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
+from contextlib import suppress
 
 import pytest
 
@@ -72,6 +74,23 @@ class ExplodingModel(CountingModel):
         return super().generate(prompt, params)
 
 
+class BrokenCloneModel(ExplodingModel):
+    """Its first ``clone_for_worker`` raises; later clones succeed."""
+
+    name = "broken-clone"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.clone_failures = 1
+
+    def clone_for_worker(self) -> "BrokenCloneModel":
+        with self._lock:
+            if self.clone_failures:
+                self.clone_failures -= 1
+                raise RuntimeError("no clone available")
+        return self
+
+
 def _wait_until(predicate, timeout=5.0, message="condition never became true"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -79,6 +98,29 @@ def _wait_until(predicate, timeout=5.0, message="condition never became true"):
             return
         time.sleep(0.001)
     raise AssertionError(message)
+
+
+def _run_bounded(call, timeout=5.0):
+    """Return ``call()``, run on a daemon thread that must finish in time.
+
+    A call that would block for good (or linger out a long window) fails
+    the test after ``timeout`` seconds instead of hanging the suite.
+    """
+    outcome: dict[str, object] = {}
+
+    def target() -> None:
+        try:
+            outcome["result"] = call()
+        except BaseException as exc:  # re-raised on the test thread below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"call still blocked after {timeout} s"
+    if "error" in outcome:
+        raise outcome["error"]  # type: ignore[misc]
+    return outcome["result"]
 
 
 class TestInflightDedup:
@@ -238,6 +280,28 @@ class TestFailurePropagation:
             engine.query_batch(["ok1", "boom", "ok2"])
         assert engine.query_batch(["fine"])[0] == "ans:fine:0"
 
+    @pytest.mark.parametrize("drainers", [0, 1], ids=["caller", "drainer"])
+    def test_raising_clone_fails_its_batch_without_stranding_it(self, drainers):
+        model = BrokenCloneModel()
+        scheduler = RequestScheduler(model)
+        if drainers:
+            scheduler.start_drainers(drainers)
+
+        def ask(prompt: str) -> str:
+            future = scheduler.submit(prompt)
+            return future.result() if drainers else scheduler.wait([future])[0]
+
+        try:
+            with pytest.raises(RuntimeError, match="no clone"):
+                _run_bounded(lambda: ask("p"))
+            # The failed batch left the in-flight table, so the same prompt
+            # reaches the model instead of coalescing onto a dead future.
+            assert _run_bounded(lambda: ask("p")) == "ans:p:0"
+            assert scheduler.queue_len == 0
+            assert model.calls == ["p"]
+        finally:
+            scheduler.stop_drainers()
+
     def test_miscounting_backend_fails_loudly(self):
         class ShortModel(CountingModel):
             name = "short"
@@ -259,29 +323,91 @@ class TestMicrobatching:
         assert engine.stats.n_batches == 3
 
     def test_max_wait_lingers_for_cross_request_batches(self):
-        model = CountingModel()
-        scheduler = RequestScheduler(model, max_batch_size=2, max_wait=5.0)
-        barrier = threading.Barrier(2)
+        model = GatedModel()
+        scheduler = RequestScheduler(model, max_batch_size=2, max_wait=30.0)
         results: dict[str, str] = {}
 
         def submitter(prompt: str) -> None:
-            barrier.wait()
             future = scheduler.submit(prompt, on_full="drain")
             results[prompt] = scheduler.wait([future])[0]
 
-        threads = [
-            threading.Thread(target=submitter, args=(p,)) for p in ("a", "b")
+        first = threading.Thread(target=submitter, args=("a",), daemon=True)
+        first.start()
+        assert model.started.wait(timeout=5.0), "the idle model's batch lingered"
+        # Batch ["a"] holds the model, so the next leader lingers for a
+        # straggler: "b" and "c" leave as one cross-request batch.
+        later = [
+            threading.Thread(target=submitter, args=(p,), daemon=True)
+            for p in ("b", "c")
         ]
-        for thread in threads:
+        for thread in later:
             thread.start()
-        for thread in threads:
-            thread.join(timeout=20.0)
-        assert results == {"a": "ans:a:0", "b": "ans:b:0"}
-        # The first leader lingered until the second submitter's request
-        # arrived, so the two independent requests shared one model batch.
-        assert len(model.batch_calls) == 1
-        assert sorted(model.batch_calls[0]) == ["a", "b"]
+        _wait_until(
+            lambda: len(model.batch_calls) == 2,
+            message="the lingering leader never drained b and c",
+        )
+        model.release.set()
+        for thread in [first, *later]:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert results == {"a": "ans:a:0", "b": "ans:b:0", "c": "ans:c:0"}
+        assert model.batch_calls[0] == ["a"]
+        assert sorted(model.batch_calls[1]) == ["b", "c"]
         assert scheduler.scheduler_stats.n_cross_request_batches == 1
+
+    def test_idle_model_drains_a_partial_batch_at_once(self):
+        # No batch is at the model, so no straggler is coming: a lone
+        # request must not sit out the 30 s window.
+        scheduler = RequestScheduler(CountingModel(), max_batch_size=4, max_wait=30.0)
+        assert _run_bounded(lambda: scheduler.query_batch(["a"])) == ["ans:a:0"]
+
+    def test_every_failed_batch_leaves_the_model_idle(self):
+        scheduler = RequestScheduler(
+            BrokenCloneModel(),
+            store=FlakyStore(OSError("disk full")),
+            max_batch_size=4,
+            max_wait=30.0,
+        )
+
+        def lone(prompt: str) -> list[str]:
+            return scheduler.wait([scheduler.submit(prompt)])
+
+        # Each failure must uncount its batch, or the next lone request
+        # would linger out the 30 s window behind a batch that is gone.
+        with pytest.raises(RuntimeError, match="no clone"):
+            _run_bounded(lambda: lone("a"))
+        with pytest.raises(ValueError, match="cannot answer"):
+            _run_bounded(lambda: lone("boom"))
+        with pytest.raises(StoreError):
+            _run_bounded(lambda: lone("b"))
+        assert _run_bounded(lambda: lone("c")) == ["ans:c:0"]
+
+    def test_batches_at_model_returns_to_zero_under_contention(self):
+        # More leaders than cores and a short switch interval, so a lost
+        # update to the count would show as a nonzero count at the end.
+        scheduler = RequestScheduler(ExplodingModel(), max_batch_size=3, max_wait=0.001)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def submitter(index: int) -> None:
+                for round_ in range(40):
+                    prompt = "boom" if (index + round_) % 7 == 0 else f"p{index}-{round_}"
+                    with suppress(ValueError):
+                        scheduler.wait([scheduler.submit(prompt, on_full="drain")])
+
+            threads = [
+                threading.Thread(target=submitter, args=(i,), daemon=True)
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert scheduler._batches_at_model == 0
+        assert scheduler.queue_len == 0
 
     def test_stats_snapshot_is_json_safe(self):
         engine = QueryEngine(model=CountingModel())

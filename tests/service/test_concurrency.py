@@ -70,21 +70,25 @@ class TestCrossSocketSharing:
             assert hits >= 1
 
     def test_distinct_concurrent_requests_coalesce_into_one_batch(self):
-        # Two different columns arriving within the linger window must
-        # leave the scheduler as one cross-request model batch.
+        # The first column finds the model idle and leaves at once; the
+        # others arrive while it is at the model, so their leader lingers
+        # and they leave the scheduler as one cross-request model batch.
         with running_server(
-            model_latency=0.05, max_batch_wait=0.25, workers=4
+            model_latency=0.2, max_batch_wait=0.25, workers=4
         ) as server:
             results = _post_concurrently(
                 server.port,
                 [
                     {"column": {"values": CITY_VALUES}},
                     {"column": {"values": YEAR_VALUES}},
+                    {"column": {"values": ["a@b.com", "c@d.org"]}},
                 ],
             )
-            assert len(results) == 2
+            assert len(results) == 3
             _, _, stats = request_json(server.port, "GET", "/stats")
-            assert stats["scheduler"]["n_cross_request_batches"] >= 1
+            scheduler = stats["scheduler"]
+            assert scheduler["n_cross_request_batches"] >= 1
+            assert max(map(int, scheduler["batch_size_histogram"])) >= 2
 
     def test_labels_under_concurrency_match_the_sequential_golden_path(self):
         columns = [CITY_VALUES, YEAR_VALUES, ["a@b.com", "c@d.org"],
