@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -103,7 +104,7 @@ def _annotate_command(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"error: {path} does not exist", file=sys.stderr)
         return 2
-    labels = [label.strip() for label in args.labels.split(",") if label.strip()]
+    labels = _label_tuple(args.labels)
     if not labels:
         print("error: --labels must list at least one label", file=sys.stderr)
         return 2
@@ -252,32 +253,32 @@ def _serve_command(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig
     from repro.service.server import run as run_service
 
-    labels: tuple[str, ...] = ()
-    if args.labels:
-        labels = tuple(
-            label.strip() for label in args.labels.split(",") if label.strip()
-        )
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        model=args.model,
-        label_set=labels,
-        sample_size=args.samples,
-        seed=args.seed,
-        model_latency=args.model_latency,
-        max_batch_size=args.max_batch_size,
-        max_batch_wait=args.max_batch_wait,
-        queue_depth=args.queue_depth,
-        drainers=args.drainers,
-        workers=args.workers,
-        store=args.store,
-        cache_dir=args.cache_dir,
-        max_pending=args.max_pending,
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
-        drain_timeout=args.drain_timeout,
-    )
-    return run_service(config)
+    # Each serve flag is named after a ServiceConfig field and defaults to
+    # argparse.SUPPRESS, so the namespace holds only the flags given and
+    # ServiceConfig keeps the one copy of every default.
+    given = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(ServiceConfig)
+        if hasattr(args, field.name)
+    }
+    return run_service(ServiceConfig(**given))
+
+
+class _ServeHelpFormatter(argparse.HelpFormatter):
+    """``repro serve --help``: each flag's default, read from ServiceConfig."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        # Imported only when the serve help is printed.
+        from repro.service import ServiceConfig
+
+        default = getattr(ServiceConfig(), action.dest, None)
+        if action.default is not argparse.SUPPRESS or default in (None, ()):
+            return action.help
+        return f"{action.help} (default {default})"
+
+
+def _label_tuple(value: str) -> tuple[str, ...]:
+    return tuple(label.strip() for label in value.split(",") if label.strip())
 
 
 def _batch_size(value: str) -> int:
@@ -320,7 +321,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser, default_note: str)
     parser.add_argument("--max-batch-wait", type=_nonnegative_float, default=None,
                         help="seconds the request scheduler lingers for "
                              "stragglers before draining an under-full "
-                             "microbatch (default 0: drain immediately)")
+                             "microbatch, only while another batch is at "
+                             "the model (default 0: drain immediately)")
     parser.add_argument("--queue-depth", type=_positive_int, default=None,
                         help="bound on the scheduler's admission queue; a full "
                              "queue blocks submitters instead of dropping "
@@ -332,7 +334,7 @@ def _add_execution_arguments(parser: argparse.ArgumentParser, default_note: str)
 
 def _add_persistence_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared persistence knobs: --cache-dir, --store."""
-    parser.add_argument("--cache-dir", default=None,
+    parser.add_argument("--cache-dir",
                         help="directory for the persistent query store and run "
                              "manifests; responses are reused across processes "
                              "so a warm rerun issues ~0 model queries")
@@ -447,56 +449,54 @@ def build_parser() -> argparse.ArgumentParser:
         help="expose the annotator as an HTTP service: one shared "
              "scheduler/cache across clients, cross-request microbatching, "
              "per-tenant rate limits, graceful drain on SIGTERM",
+        argument_default=argparse.SUPPRESS,
+        formatter_class=_ServeHelpFormatter,
     )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8080,
+    serve.add_argument("--host", help="bind address")
+    serve.add_argument("--port", type=int,
                        help="TCP port; 0 picks an ephemeral port and prints "
                             "it in the 'listening on ...' line")
-    serve.add_argument("--model", default="gpt",
+    serve.add_argument("--model",
                        help=f"model name or alias (built-ins: "
                             f"{', '.join(sorted(list_models()))})")
-    serve.add_argument("--labels", default=None,
+    serve.add_argument("--labels", dest="label_set", metavar="LABELS",
+                       type=_label_tuple,
                        help="comma-separated default label set; requests "
                             "without their own 'label_set' use it (omit to "
                             "make 'label_set' mandatory per request)")
-    serve.add_argument("--samples", type=_positive_int, default=5,
+    serve.add_argument("--samples", dest="sample_size", metavar="SAMPLES",
+                       type=_positive_int,
                        help="default context samples per column")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="default annotation seed")
-    serve.add_argument("--model-latency", type=_nonnegative_float, default=0.0,
+    serve.add_argument("--seed", type=int, help="default annotation seed")
+    serve.add_argument("--model-latency", type=_nonnegative_float,
                        help="simulated model round-trip latency in seconds "
                             "(simulated backends only; makes load tests "
                             "deployment-shaped)")
-    serve.add_argument("--max-batch-size", type=_positive_int, default=16,
-                       help="per-drain cap on scheduler microbatches "
-                            "(default 16)")
+    serve.add_argument("--max-batch-size", type=_positive_int,
+                       help="per-drain cap on scheduler microbatches")
     serve.add_argument("--max-batch-wait", type=_nonnegative_float,
-                       default=0.005,
-                       help="seconds a drain leader lingers for stragglers — "
-                            "the knob that coalesces concurrent requests "
-                            "into cross-request batches (default 0.005)")
-    serve.add_argument("--queue-depth", type=_positive_int, default=1024,
-                       help="bound on the scheduler's admission queue "
-                            "(default 1024)")
-    serve.add_argument("--workers", type=_positive_int, default=8,
-                       help="annotation worker threads (default 8)")
-    serve.add_argument("--drainers", type=_positive_int, default=1,
-                       help="background scheduler drain threads (default 1)")
-    serve.add_argument("--max-pending", type=_positive_int, default=64,
+                       help="seconds a drain leader lingers for stragglers "
+                            "while another batch is at the model — the knob "
+                            "that coalesces concurrent requests into "
+                            "cross-request batches under load; on an idle "
+                            "model a partial batch leaves at once")
+    serve.add_argument("--queue-depth", type=_positive_int,
+                       help="bound on the scheduler's admission queue")
+    serve.add_argument("--workers", type=_positive_int,
+                       help="annotation worker threads")
+    serve.add_argument("--drainers", type=_positive_int,
+                       help="background scheduler drain threads")
+    serve.add_argument("--max-pending", type=_positive_int,
                        help="bound on concurrently admitted requests; "
-                            "overflow is refused with 429 + Retry-After "
-                            "(default 64)")
-    serve.add_argument("--tenant-rate", type=_nonnegative_float, default=0.0,
+                            "overflow is refused with 429 + Retry-After")
+    serve.add_argument("--tenant-rate", type=_nonnegative_float,
                        help="sustained per-tenant requests/second (X-Tenant "
-                            "header selects the bucket; default 0 = off)")
-    serve.add_argument("--tenant-burst", type=_positive_int, default=8,
-                       help="burst capacity of each tenant's token bucket "
-                            "(default 8)")
+                            "header selects the bucket; 0 = off)")
+    serve.add_argument("--tenant-burst", type=_positive_int,
+                       help="burst capacity of each tenant's token bucket")
     serve.add_argument("--drain-timeout", type=_nonnegative_float,
-                       default=10.0,
                        help="seconds a SIGTERM drain waits for in-flight "
-                            "requests before tearing down (default 10)")
+                            "requests before tearing down")
     _add_persistence_arguments(serve)
     serve.set_defaults(func=_serve_command)
 

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main, read_csv_table
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -188,3 +194,67 @@ class TestSuiteCommand:
         ])
         assert exit_code == 2
         assert "cache-dir" in capsys.readouterr().err
+
+
+class TestServeCommand:
+    """``repro serve`` takes every default from ``ServiceConfig``."""
+
+    @staticmethod
+    def _built_config(monkeypatch, argv: list[str]):
+        import repro.service.server as server_module
+
+        built = []
+        monkeypatch.setattr(
+            server_module, "run", lambda config: built.append(config) or 0
+        )
+        assert main(["serve", *argv]) == 0
+        (config,) = built
+        return config
+
+    def test_no_flags_build_the_default_config(self, monkeypatch):
+        from repro.service import ServiceConfig
+
+        config = self._built_config(monkeypatch, [])
+        default = ServiceConfig()
+        for field in dataclasses.fields(ServiceConfig):
+            assert getattr(config, field.name) == getattr(default, field.name), (
+                field.name
+            )
+
+    def test_given_flags_override_only_their_fields(self, monkeypatch):
+        from repro.service import ServiceConfig
+
+        config = self._built_config(monkeypatch, [
+            "--port", "0", "--labels", "city, year,", "--samples", "3",
+            "--max-batch-wait", "0.02",
+        ])
+        assert config == ServiceConfig(
+            port=0, label_set=("city", "year"), sample_size=3,
+            max_batch_wait=0.02,
+        )
+
+    def test_help_shows_the_config_defaults(self, capsys):
+        from repro.service import ServiceConfig
+
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        default = ServiceConfig()
+        assert f"(default {default.max_batch_wait})" in help_text
+        assert f"(default {default.workers})" in help_text
+
+    def test_other_subcommands_do_not_import_the_service(self):
+        probe = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "parser = build_parser()\n"
+            "parser.parse_args(['annotate', 'data.csv', '--labels', 'a'])\n"
+            "parser.parse_args(['evaluate'])\n"
+            "print('repro.service' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "False"
