@@ -27,7 +27,9 @@ a clean drained exit); point ``--url`` at an already-running instance to
 skip that.  ``--report`` writes the full JSON report, ``--bench-append``
 merges a ``service_load`` record into the newest ``benchmarks/BENCH_*.json``
 artifact so ``scripts/bench_regression_check.py`` can gate service
-throughput, and ``--quick`` selects the small CI shape.
+throughput, and ``--quick`` selects the small CI shape.  Both also carry
+the cold pass's model calls per column and mean prompts per model batch
+(from ``/stats``), so the trade between latency and batching stays visible.
 
 Exit code 0 iff every check passes.
 """
@@ -174,6 +176,23 @@ def run_open_loop(
     wall = time.monotonic() - start
     assert all(label is not None for label in labels)
     return [label for label in labels if label is not None], latencies, wall
+
+
+def batching_summary(stats: dict) -> dict[str, float]:
+    """Model calls per column and mean prompts per batch, from ``/stats``."""
+    scheduler = stats["scheduler"]
+    n_batches = scheduler["n_batches"]
+    n_columns = stats["service"]["n_columns_annotated"]
+    n_prompts = sum(
+        int(size) * count
+        for size, count in scheduler["batch_size_histogram"].items()
+    )
+    return {
+        "model_calls_per_column": (
+            round(n_batches / n_columns, 4) if n_columns else 0.0
+        ),
+        "prompts_per_batch": round(n_prompts / n_batches, 4) if n_batches else 0.0,
+    }
 
 
 def percentile(sorted_values: list[float], fraction: float) -> float:
@@ -368,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
             },
             "columns_per_sec": round(columns_per_sec, 3),
             "wall_s": round(wall, 3),
+            # Over the cold pass: the warm replay adds columns, no batches.
+            "batching": batching_summary(cold_stats),
             "scheduler": warm_stats["scheduler"],
             "admission": warm_stats["admission"],
             "checks": checks,
@@ -385,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(
         {k: report[k] for k in
          ("label_mismatches", "warm_model_queries", "latency_ms",
-          "columns_per_sec", "checks")},
+          "columns_per_sec", "batching", "checks")},
         indent=2,
     ))
     if args.report is not None:
@@ -404,6 +425,7 @@ def main(argv: list[str] | None = None) -> int:
             "p99_ms": report["latency_ms"]["p99"],
             "label_mismatches": report["label_mismatches"],
             "warm_model_queries": report["warm_model_queries"],
+            **report["batching"],
             "scheduler": report["scheduler"],
         }
         target = append_bench_record(record)
