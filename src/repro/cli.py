@@ -321,8 +321,8 @@ def _add_execution_arguments(parser: argparse.ArgumentParser, default_note: str)
     parser.add_argument("--max-batch-wait", type=_nonnegative_float, default=None,
                         help="seconds the request scheduler lingers for "
                              "stragglers before draining an under-full "
-                             "microbatch, only while another batch is at "
-                             "the model (default 0: drain immediately)")
+                             "microbatch, only when another batch is already "
+                             "at the model (default 0: drain immediately)")
     parser.add_argument("--queue-depth", type=_positive_int, default=None,
                         help="bound on the scheduler's admission queue; a full "
                              "queue blocks submitters instead of dropping "
@@ -476,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-drain cap on scheduler microbatches")
     serve.add_argument("--max-batch-wait", type=_nonnegative_float,
                        help="seconds a drain leader lingers for stragglers "
-                            "while another batch is at the model — the knob "
-                            "that coalesces concurrent requests into "
-                            "cross-request batches under load; on an idle "
-                            "model a partial batch leaves at once")
+                            "when another batch is already at the model — "
+                            "the knob that coalesces concurrent requests "
+                            "into cross-request batches under load; on an "
+                            "idle model a partial batch leaves at once")
     serve.add_argument("--queue-depth", type=_positive_int,
                        help="bound on the scheduler's admission queue")
     serve.add_argument("--workers", type=_positive_int,

@@ -122,8 +122,8 @@ class ArcheTypeConfig:
     #: queued, keeping one batched call one model batch).
     max_batch_size: int | None = None
     #: Seconds a drain leader lingers for stragglers before generating an
-    #: under-full microbatch, only while another batch is at the model (on
-    #: an idle model a partial batch leaves at once).  With no
+    #: under-full microbatch, only when another batch is already at the
+    #: model (on an idle model a partial batch leaves at once).  With no
     #: ``max_batch_size`` a leader that lingers waits out the whole window.
     max_batch_wait: float = 0.0
     #: Bound on the scheduler's admission queue; a full queue blocks

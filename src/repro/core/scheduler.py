@@ -23,8 +23,8 @@ The request lifecycle::
                           │
                  microbatch drain: a waiting caller becomes the *leader*,
                  pops up to ``max_batch_size`` requests (lingering up to
-                 ``max_wait`` for stragglers, but only while another batch
-                 is at the model), and issues ONE ``generate_batch`` call
+                 ``max_wait`` for stragglers, but only when another batch
+                 is already at the model), and issues ONE ``generate_batch`` call
                  on a pooled model clone
                           │
                  completions → stats + LRU + store write-through (one
@@ -36,9 +36,9 @@ single-threaded caller therefore pays zero added latency — submit one prompt,
 wait, become leader, drain immediately — while concurrent callers get
 continuous batching for free: while one leader generates, the other threads
 keep submitting, so the next leader drains a larger, cross-request batch.
-The linger follows the same signal: a leader waits for stragglers only while
-another batch is at the model, which is when stragglers keep arriving; on an
-idle model a partial batch leaves at once, so light traffic pays no linger.
+The linger follows the same signal: a leader waits for stragglers only when
+another batch is already at the model, which is when stragglers keep
+arriving; on an idle model a partial batch leaves at once, so light traffic pays no linger.
 This is the same shape inference-serving stacks use, GIL-friendly and safe to
 re-enter (a remap-stage requery submits and waits like any other caller).
 
@@ -652,8 +652,8 @@ class RequestScheduler:
         drain the queue themselves.  An asyncio front end cannot — awaiting a
         future must never run model generation on the event-loop thread — so
         a long-running service starts drainers that block on the arrival
-        condition, linger (``max_wait``, only while another batch is at the
-        model) and drain microbatches exactly like a waiting caller would.
+        condition, linger (``max_wait``, only when another batch is already at
+        the model) and drain microbatches exactly like a waiting caller would.
         Drainers and waiting callers cooperate through the same leader
         election: whoever takes the lock first leads the next batch.
         """

@@ -54,10 +54,10 @@ class ServiceConfig:
     # ----------------------------------------------------------- scheduler
     query_cache_size: int = 4096
     max_batch_size: int | None = 16
-    #: Seconds a drain leader lingers for stragglers while another batch is
-    #: at the model — the knob that turns concurrent single-column requests
-    #: into cross-request model batches under load.  On an idle model a
-    #: partial batch leaves at once.
+    #: Seconds a drain leader lingers for stragglers when another batch is
+    #: already at the model — the knob that turns concurrent single-column
+    #: requests into cross-request model batches under load.  On an idle
+    #: model a partial batch leaves at once.
     max_batch_wait: float = 0.005
     queue_depth: int | None = 1024
     #: Background scheduler drain threads (see ``start_drainers``).
